@@ -32,7 +32,7 @@ from histadapter.autodiff import ShapeError, Tensor
 from histadapter.cdc import CdcConv
 from histadapter.histogram import SoftHistogram
 from histadapter.nn import Linear, prefixed, set_trainable
-from histadapter.tokens import TokenGrid, TokenSequence, grid_to_seq, seq_to_grid
+from histadapter.tokens import TokenSequence, grid_to_seq, seq_to_grid
 
 __all__ = ["HistAdapter", "VARIANTS", "FUSIONS", "insert_into_block"]
 
@@ -84,10 +84,8 @@ class HistAdapter:
             raise ShapeError(
                 f"adapter built for width {self.model_dim}, got tokens {tokens.shape}"
             )
-        batched = tokens.ndim == 3
         if seq.has_class:
-            cls_rows = tokens[:, :1, :] if batched else tokens[:1, :]
-            patches = tokens[:, 1:, :] if batched else tokens[1:, :]
+            cls_rows, patches = tokens[..., :1, :], tokens[..., 1:, :]
         else:
             cls_rows, patches = None, tokens
 
@@ -112,11 +110,8 @@ class HistAdapter:
         else:
             out = self.fuse(ad.concat([patches, branch], axis=-1))
         if cls_rows is not None:
-            out = ad.concat([cls_rows, out], axis=1 if batched else 0)
+            out = ad.concat([cls_rows, out], axis=-2)
         return TokenSequence(out, seq.grid_h, seq.grid_w, has_class=seq.has_class)
-
-    def style_grid(self) -> TokenGrid | None:
-        return None if self.last_style_map is None else TokenGrid(self.last_style_map)
 
     def parameters(self) -> dict:
         params = prefixed("dim_down", self.dim_down.parameters())

@@ -94,16 +94,8 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
-        return float(self.data.reshape(-1)[0])
-
     def zero_grad(self) -> None:
         self.grad = None
-
-    def detached(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def backward(self, seed=None) -> None:
         """Run reverse-mode accumulation from this tensor.
@@ -130,31 +122,6 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-    # operator sugar; scalars are lifted to 0-d tensors
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, idx):
         return _basic_slice(self, idx)

@@ -7,6 +7,7 @@ key (the style-regularizer weight) maps to the ``tsr_lambda`` field.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -51,12 +52,12 @@ class RunConfig:
             raise ValueError(f"unknown fusion {self.fusion!r}")
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
-        if self.tsr_lambda < 0:
-            raise ValueError(f"lambda must be >= 0, got {self.tsr_lambda}")
+        if not (math.isfinite(self.tsr_lambda) and self.tsr_lambda >= 0):
+            raise ValueError(f"lambda must be finite and >= 0, got {self.tsr_lambda}")
         if self.tsr_aggregation not in ("domain", "pairwise"):
             raise ValueError(f"unknown tsr_aggregation {self.tsr_aggregation!r}")
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
         for name in ("adapter_dim", "epochs", "batch_size", "num_domains",
                      "train_per_class", "test_per_class", "val_per_class"):
             if getattr(self, name) < 1:

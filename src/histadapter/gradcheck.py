@@ -96,74 +96,39 @@ def _scalar_checks(rng, instances):
         yield _merge(name, reports, OP_TOLERANCE)
 
 
-def _matmul_checks(rng, instances):
-    for side, name in ((0, "matmul/lhs"), (1, "matmul/rhs")):
+def _argument_checks(rng, instances, op, names, shapes):
+    """Check ``op`` with respect to each operand in turn.
+
+    Per instance, every operand is drawn (all requiring grad), then the
+    readout. ``names[i]`` names the check of operand ``i``, of shape ``shapes[i]``.
+    """
+    for which, name in enumerate(names):
         reports = []
         for _ in range(instances):
-            a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-            b = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
-            head = _readout(rng, (3, 2))
-            target = (a, b)[side]
-            fn = (lambda t: head(ad.matmul(t, b))) if side == 0 else \
-                (lambda t: head(ad.matmul(a, t)))
-            reports.append(finite_difference_check(fn, target, op_name=name))
-        yield _merge(name, reports, OP_TOLERANCE)
-
-
-def _conv_checks(rng, instances):
-    specs = [
-        ("conv2d/input", 0), ("conv2d/kernel", 1), ("conv2d/bias", 2),
-    ]
-    for name, which in specs:
-        reports = []
-        for _ in range(instances):
-            x = Tensor(rng.standard_normal((2, 5, 5)), requires_grad=True)
-            k = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
-            b = Tensor(rng.standard_normal(3), requires_grad=True)
-            head = _readout(rng, (3, 5, 5))
-            parts = [x, k, b]
+            parts = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
+            head = _readout(rng, op(*parts).shape)
 
             def fn(t, which=which, parts=parts, head=head):
                 args = list(parts)
                 args[which] = t
-                return head(ad.conv2d(args[0], args[1], args[2], stride=1, padding=1))
+                return head(op(*args))
 
             reports.append(finite_difference_check(fn, parts[which], op_name=name))
         yield _merge(name, reports, OP_TOLERANCE)
-    for name, which in (("central_difference/input", 0), ("central_difference/kernel", 1)):
-        reports = []
-        for _ in range(instances):
-            x = Tensor(rng.standard_normal((2, 5, 5)), requires_grad=True)
-            k = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
-            head = _readout(rng, (3, 5, 5))
-            pair = [x, k]
-
-            def fn(t, which=which, pair=pair, head=head):
-                args = list(pair)
-                args[which] = t
-                return head(ad.central_difference_term(args[0], args[1]))
-
-            reports.append(finite_difference_check(fn, pair[which], op_name=name))
-        yield _merge(name, reports, OP_TOLERANCE)
 
 
-def _norm_checks(rng, instances):
-    for which, name in ((0, "layernorm/input"), (1, "layernorm/gain"), (2, "layernorm/shift")):
-        reports = []
-        for _ in range(instances):
-            x = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
-            gain = Tensor(rng.standard_normal(6), requires_grad=True)
-            shift = Tensor(rng.standard_normal(6), requires_grad=True)
-            head = _readout(rng, (4, 6))
-            parts = [x, gain, shift]
-
-            def fn(t, which=which, parts=parts, head=head):
-                args = list(parts)
-                args[which] = t
-                return head(ad.layernorm(args[0], args[1], args[2]))
-
-            reports.append(finite_difference_check(fn, parts[which], op_name=name))
-        yield _merge(name, reports, OP_TOLERANCE)
+def _operand_checks(rng, instances):
+    yield from _argument_checks(rng, instances, ad.matmul,
+                                ("matmul/lhs", "matmul/rhs"), ((3, 4), (4, 2)))
+    yield from _argument_checks(
+        rng, instances, lambda x, k, b: ad.conv2d(x, k, b, stride=1, padding=1),
+        ("conv2d/input", "conv2d/kernel", "conv2d/bias"), ((2, 5, 5), (3, 2, 3, 3), (3,)))
+    yield from _argument_checks(
+        rng, instances, ad.central_difference_term,
+        ("central_difference/input", "central_difference/kernel"), ((2, 5, 5), (3, 2, 3, 3)))
+    yield from _argument_checks(
+        rng, instances, ad.layernorm,
+        ("layernorm/input", "layernorm/gain", "layernorm/shift"), ((4, 6), (6,), (6,)))
 
 
 def _objective_checks(rng, instances):
@@ -225,9 +190,7 @@ def run_gradient_checks(instances_per_op: int = 5, seed: int = 0) -> list:
     reports.extend(_elementwise_checks(rng, instances_per_op))
     reports.extend(_unary_checks(rng, instances_per_op))
     reports.extend(_scalar_checks(rng, instances_per_op))
-    reports.extend(_matmul_checks(rng, instances_per_op))
-    reports.extend(_conv_checks(rng, instances_per_op))
-    reports.extend(_norm_checks(rng, instances_per_op))
+    reports.extend(_operand_checks(rng, instances_per_op))
     reports.extend(_objective_checks(rng, instances_per_op))
     reports.extend(_composed_adapter_checks(rng))
     return reports

@@ -55,14 +55,26 @@ def tsr_average(domain_grids) -> Tensor:
 
     With fewer than two domains the batch is degenerate and the value is 0.
     """
-    grids = list(domain_grids)
-    if len(grids) < 2:
+    return _mean_tsr(list(combinations(domain_grids, 2)))
+
+
+def _mean_tsr(pairs: list) -> Tensor:
+    if not pairs:
         return Tensor(np.zeros(()))
-    pairs = list(combinations(grids, 2))
     total = tsr_pair(*pairs[0])
     for a, b in pairs[1:]:
         total = ad.add(total, tsr_pair(a, b))
     return ad.scale(total, 1.0 / len(pairs))
+
+
+def _bona_fide_rows_by_domain(labels, domain_ids):
+    """Indices of each domain's bona fide examples, domains ascending, empty ones skipped."""
+    labels = np.asarray(labels)
+    domain_ids = np.asarray(domain_ids)
+    for dom in sorted(set(domain_ids.tolist())):
+        idx = np.flatnonzero((domain_ids == dom) & (labels == BONA_FIDE))
+        if idx.size:
+            yield idx
 
 
 def group_bona_fide_by_domain(style_maps: Tensor, labels, domain_ids) -> list:
@@ -72,28 +84,13 @@ def group_bona_fide_by_domain(style_maps: Tensor, labels, domain_ids) -> list:
     Pooling concatenates a domain's maps along the row axis, so its Gram
     matrix is the domain's second moment over all of its examples.
     """
-    labels = np.asarray(labels)
-    domain_ids = np.asarray(domain_ids)
     grids = []
-    for dom in sorted(set(domain_ids.tolist())):
-        idx = np.flatnonzero((domain_ids == dom) & (labels == BONA_FIDE))
-        if idx.size == 0:
-            continue
+    for idx in _bona_fide_rows_by_domain(labels, domain_ids):
         rows = ad.take_rows(style_maps, idx)  # (m, C, H, W)
         m, c, h, w = rows.shape
         pooled = ad.reshape(ad.transpose(rows, (1, 0, 2, 3)), (c, m * h, w))
         grids.append(TokenGrid(pooled))
     return grids
-
-
-def _example_grids_by_domain(style_maps: Tensor, labels, domain_ids) -> dict:
-    labels = np.asarray(labels)
-    domain_ids = np.asarray(domain_ids)
-    by_domain: dict = {}
-    for dom in sorted(set(domain_ids.tolist())):
-        idx = np.flatnonzero((domain_ids == dom) & (labels == BONA_FIDE))
-        by_domain[dom] = [TokenGrid(style_maps[int(i)]) for i in idx]
-    return {d: g for d, g in by_domain.items() if g}
 
 
 def batch_tsr(style_maps: Tensor, labels, domain_ids, aggregation: str = "domain") -> Tensor:
@@ -107,19 +104,10 @@ def batch_tsr(style_maps: Tensor, labels, domain_ids, aggregation: str = "domain
         return tsr_average(group_bona_fide_by_domain(style_maps, labels, domain_ids))
     if aggregation != "pairwise":
         raise ValueError(f"unknown aggregation {aggregation!r}")
-    by_domain = _example_grids_by_domain(style_maps, labels, domain_ids)
-    domains = sorted(by_domain)
-    if len(domains) < 2:
-        return Tensor(np.zeros(()))
-    terms = []
-    for da, db in combinations(domains, 2):
-        for ga in by_domain[da]:
-            for gb in by_domain[db]:
-                terms.append(tsr_pair(ga, gb))
-    total = terms[0]
-    for t in terms[1:]:
-        total = ad.add(total, t)
-    return ad.scale(total, 1.0 / len(terms))
+    by_domain = [[TokenGrid(style_maps[int(i)]) for i in idx]
+                 for idx in _bona_fide_rows_by_domain(labels, domain_ids)]
+    return _mean_tsr([(ga, gb) for da, db in combinations(by_domain, 2)
+                      for ga in da for gb in db])
 
 
 def binary_cross_entropy_with_logits(logits: Tensor, labels) -> Tensor:
@@ -148,11 +136,10 @@ def binary_cross_entropy_with_logits(logits: Tensor, labels) -> Tensor:
     return graph_op(loss, (logits,), backward)
 
 
-def total_loss(logits: Tensor, labels, tsr_value: Tensor, lam: float) -> Tensor:
-    """Classification loss plus ``lam`` times the style regularizer."""
+def total_loss(bce: Tensor, tsr_value: Tensor, lam: float) -> Tensor:
+    """Classification loss ``bce`` plus ``lam`` times the style regularizer."""
     if lam < 0:
         raise ValueError(f"regularization weight must be >= 0, got {lam}")
-    bce = binary_cross_entropy_with_logits(logits, labels)
     if lam == 0:
         return bce
     return ad.add(bce, ad.scale(tsr_value, lam))

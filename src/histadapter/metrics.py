@@ -54,6 +54,8 @@ class ScoreSet:
             )
         if not np.all(np.isin(self.labels, (0, 1))):
             raise ValueError("labels must be 0 (bona fide) or 1 (attack)")
+        if not np.all(np.isfinite(self.scores)):
+            raise ValueError("scores must be finite")
 
     @property
     def n_attack(self) -> int:

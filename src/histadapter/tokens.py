@@ -47,39 +47,28 @@ def seq_to_grid(seq: TokenSequence) -> TokenGrid:
             f"sequence holds {seq.patch_count()} patch tokens, grid needs {h}x{w}={h * w}"
         )
     tokens = seq.tokens
+    if tokens.ndim not in (2, 3):
+        raise ShapeError(f"tokens must be 2D or 3D, got shape {tokens.shape}")
     cls = None
     if seq.has_class:
-        batched = tokens.ndim == 3
-        cls = tokens[:, 0, :] if batched else tokens[0, :]
-        tokens = tokens[:, 1:, :] if batched else tokens[1:, :]
-    c = tokens.shape[-1]
-    if tokens.ndim == 2:
-        grid = ad.transpose(ad.reshape(tokens, (h, w, c)), (2, 0, 1))
-    elif tokens.ndim == 3:
-        b = tokens.shape[0]
-        grid = ad.transpose(ad.reshape(tokens, (b, h, w, c)), (0, 3, 1, 2))
-    else:
-        raise ShapeError(f"tokens must be 2D or 3D, got shape {tokens.shape}")
+        cls = tokens[..., 0, :]
+        tokens = tokens[..., 1:, :]
+    *lead, _, c = tokens.shape
+    n = len(lead)
+    grid = ad.transpose(ad.reshape(tokens, (*lead, h, w, c)), (*range(n), n + 2, n, n + 1))
     return TokenGrid(grid=grid, class_token=cls)
 
 
 def grid_to_seq(grid: TokenGrid) -> TokenSequence:
     """Inverse of :func:`seq_to_grid`; round trips are the identity."""
     g = grid.grid
-    if g.ndim == 3:
-        c, h, w = g.shape
-        tokens = ad.reshape(ad.transpose(g, (1, 2, 0)), (h * w, c))
-        if grid.class_token is not None:
-            tokens = ad.concat([ad.reshape(grid.class_token, (1, c)), tokens], axis=0)
-    elif g.ndim == 4:
-        b, c, h, w = g.shape
-        tokens = ad.reshape(ad.transpose(g, (0, 2, 3, 1)), (b, h * w, c))
-        if grid.class_token is not None:
-            tokens = ad.concat(
-                [ad.reshape(grid.class_token, (b, 1, c)), tokens], axis=1
-            )
-    else:
+    if g.ndim not in (3, 4):
         raise ShapeError(f"grid must be 3D or 4D, got shape {g.shape}")
+    *lead, c, h, w = g.shape
+    n = len(lead)
+    tokens = ad.reshape(ad.transpose(g, (*range(n), n + 1, n + 2, n)), (*lead, h * w, c))
+    if grid.class_token is not None:
+        tokens = ad.concat([ad.reshape(grid.class_token, (*lead, 1, c)), tokens], axis=-2)
     return TokenSequence(
         tokens=tokens, grid_h=h, grid_w=w, has_class=grid.class_token is not None
     )

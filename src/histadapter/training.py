@@ -90,7 +90,7 @@ def train_run(cfg: RunConfig, out_dir=None) -> TrainResult:
                 tsr = batch_tsr(style, labels[idx], domains[idx], cfg.tsr_aggregation)
             else:
                 tsr = Tensor(np.zeros(()))
-            loss = total_loss(logits, labels[idx], tsr, cfg.tsr_lambda)
+            loss = total_loss(bce, tsr, cfg.tsr_lambda)
             optimizer.zero_grad()
             loss.backward()
             optimizer.step()

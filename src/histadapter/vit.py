@@ -117,18 +117,15 @@ class ViTBlock:
         _, att = self._attention(x)
         return att.data
 
-    def _norm(self, x, gain, shift):
-        return ad.layernorm(x, gain, shift)
-
     def forward(self, seq: TokenSequence) -> TokenSequence:
         x = seq.tokens
         t = ad.add(x, self.mhsa(TokenSequence(
-            self._norm(x, self.ln1_gain, self.ln1_shift),
+            ad.layernorm(x, self.ln1_gain, self.ln1_shift),
             seq.grid_h, seq.grid_w, seq.has_class)).tokens)
         mid = TokenSequence(t, seq.grid_h, seq.grid_w, seq.has_class)
         if self.msa_adapter is not None:
             mid = self.msa_adapter.apply(mid)
-        y = self.fc2(ad.gelu(self.fc1(self._norm(mid.tokens, self.ln2_gain, self.ln2_shift))))
+        y = self.fc2(ad.gelu(self.fc1(ad.layernorm(mid.tokens, self.ln2_gain, self.ln2_shift))))
         out = TokenSequence(ad.add(mid.tokens, y), seq.grid_h, seq.grid_w, seq.has_class)
         if self.mlp_adapter is not None:
             out = self.mlp_adapter.apply(out)
@@ -216,15 +213,6 @@ class VisionTransformer:
         set_trainable(self.backbone_parameters(), False)
         set_trainable(self.head.parameters(), True)
 
-    def adapters(self) -> list:
-        out = []
-        for block in self.blocks:
-            if block.msa_adapter is not None:
-                out.append(block.msa_adapter)
-            if block.mlp_adapter is not None:
-                out.append(block.mlp_adapter)
-        return out
-
     def set_style_capture(self, enabled: bool) -> None:
         """Toggle style-map capture on the last block's MLP-side adapter."""
         last = self.blocks[-1].mlp_adapter
@@ -233,24 +221,22 @@ class VisionTransformer:
             if not enabled:
                 last.last_style_map = None
 
-    def backbone_parameters(self) -> dict:
+    def _walk(self, block_params) -> dict:
+        """Parameters before the head, in checkpoint order, taking ``block_params(block)``."""
         params = prefixed("patch_embed", self.patch_embed.parameters())
         params["class_token"] = self.class_token
         params["pos_embed"] = self.pos_embed
         for i, block in enumerate(self.blocks):
-            params.update(prefixed(f"block{i}", block.backbone_parameters()))
+            params.update(prefixed(f"block{i}", block_params(block)))
         params["final_ln.gain"] = self.final_gain
         params["final_ln.shift"] = self.final_shift
         return params
 
+    def backbone_parameters(self) -> dict:
+        return self._walk(ViTBlock.backbone_parameters)
+
     def parameters(self) -> dict:
-        params = prefixed("patch_embed", self.patch_embed.parameters())
-        params["class_token"] = self.class_token
-        params["pos_embed"] = self.pos_embed
-        for i, block in enumerate(self.blocks):
-            params.update(prefixed(f"block{i}", block.parameters()))
-        params["final_ln.gain"] = self.final_gain
-        params["final_ln.shift"] = self.final_shift
+        params = self._walk(ViTBlock.parameters)
         params.update(prefixed("head", self.head.parameters()))
         return params
 

@@ -4,8 +4,10 @@ import sys
 
 import pytest
 
+from histadapter import losses, training
 from histadapter.cli import main
 from histadapter.config import RunConfig, load_config, parse_config_text
+from histadapter.optim import Adam
 from histadapter.training import evaluate_run, train_run
 
 
@@ -51,6 +53,12 @@ class TestConfig:
     def test_validation(self, bad):
         with pytest.raises(ValueError):
             load_config(None, bad)
+
+    @pytest.mark.parametrize("key", ["lr", "lambda"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_rejected(self, key, value):
+        with pytest.raises(ValueError, match="finite"):
+            load_config(None, {key: value})
 
     def test_round_trip_text(self):
         cfg = RunConfig(theta=0.3, tsr_lambda=0.25)
@@ -106,6 +114,24 @@ class TestTrainEval:
         cfg = load_config(None, {**SMALL, "out": str(tmp_path), "seed": 1})
         result = train_run(cfg)
         assert result.log_path.read_bytes() != trained[1].log_path.read_bytes()
+
+    def test_bce_evaluated_once_per_step(self, tmp_path, monkeypatch):
+        calls = {"bce": 0, "step": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        bce = counted("bce", losses.binary_cross_entropy_with_logits)
+        # both bindings, so a BCE computed inside the losses module counts too
+        monkeypatch.setattr(training, "binary_cross_entropy_with_logits", bce)
+        monkeypatch.setattr(losses, "binary_cross_entropy_with_logits", bce)
+        monkeypatch.setattr(Adam, "step", counted("step", Adam.step))
+        train_run(load_config(None, {**SMALL, "epochs": "1", "out": str(tmp_path)}))
+        assert calls["step"] > 1
+        assert calls["bce"] == calls["step"]
 
     def test_loss_decreases_on_default_toy_config(self, tmp_path):
         cfg = load_config(None, {"out": str(tmp_path), "epochs": "10"})

@@ -166,7 +166,7 @@ class TestTotalLoss:
         logits = Tensor(rng.standard_normal((4, 2)))
         labels = np.array([0, 1, 0, 1])
         tsr = Tensor(np.asarray(5.0))
-        total = total_loss(logits, labels, tsr, 0.0)
+        total = total_loss(binary_cross_entropy_with_logits(logits, labels), tsr, 0.0)
         bce = binary_cross_entropy_with_logits(logits, labels)
         assert float(total.data) == float(bce.data)
 
@@ -174,12 +174,13 @@ class TestTotalLoss:
         logits = Tensor(np.zeros((2, 2)))
         labels = np.array([0, 1])
         tsr = Tensor(np.asarray(3.0))
-        total = total_loss(logits, labels, tsr, 0.1)
+        total = total_loss(binary_cross_entropy_with_logits(logits, labels), tsr, 0.1)
         assert abs(float(total.data) - (np.log(2.0) + 0.3)) < 1e-12
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
-            total_loss(Tensor(np.zeros((1, 2))), [0], Tensor(np.asarray(0.0)), -0.5)
+            total_loss(binary_cross_entropy_with_logits(Tensor(np.zeros((1, 2))), [0]),
+                       Tensor(np.asarray(0.0)), -0.5)
 
 
 def test_attack_probabilities_match_softmax():

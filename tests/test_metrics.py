@@ -179,6 +179,12 @@ class TestValidationAndReport:
         with pytest.raises(ValueError, match="labels"):
             ScoreSet([0.5], [2])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        # a NaN here used to read as EER 0.0 and AUC 1.0
+        with pytest.raises(ValueError, match="finite"):
+            ScoreSet([0.1, bad, 0.7, 0.9], [0, 0, 1, 1])
+
     def test_report_rates_in_unit_interval_and_csv(self):
         rng = np.random.default_rng(8)
         s = random_scoreset(rng, n=50)

@@ -1,0 +1,54 @@
+"""Byte fingerprints of training and gradcheck outputs, the identity check for refactors.
+
+Trains three epochs of ``configs/ablation.cfg`` for every variant x fusion
+pair, plus ``full``/``sum`` with pairwise TSR, and prints the sha256 of each
+run's ``model.ckpt`` and ``train_log.csv``. The last row is the sha256 of the
+CSV that ``histadapter gradcheck --out`` writes. A change that alters no
+float operation prints the same rows as its parent. Run from the repository
+root (about 40 s on one core):
+
+    PYTHONPATH=src python3 tools/fingerprints.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import tempfile
+from pathlib import Path
+
+from histadapter.adapter import FUSIONS, VARIANTS
+from histadapter.cli import main as cli_main
+from histadapter.config import load_config
+from histadapter.training import train_run
+
+CONFIG = Path(__file__).resolve().parents[1] / "configs" / "ablation.cfg"
+EPOCHS = 3
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def main() -> None:
+    runs = [(v, f, "domain") for v in VARIANTS for f in FUSIONS]
+    runs.append(("full", "sum", "pairwise"))
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for variant, fusion, aggregation in runs:
+            name = f"{variant}/{fusion}/{aggregation}"
+            cfg = load_config(CONFIG, {
+                "variant": variant, "fusion": fusion, "tsr_aggregation": aggregation,
+                "epochs": EPOCHS, "out": str(root / name.replace("/", "-")),
+            })
+            result = train_run(cfg)
+            print(f"{name} model.ckpt {sha256(result.checkpoint_path)} "
+                  f"train_log.csv {sha256(result.log_path)}", flush=True)
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli_main(["gradcheck", "--out", str(root / "gradcheck")])
+        print(f"gradcheck.csv {sha256(root / 'gradcheck' / 'gradcheck.csv')}")
+
+
+if __name__ == "__main__":
+    main()
