@@ -9,7 +9,6 @@ import numpy as np
 from histadapter import autodiff as ad
 from histadapter.autodiff import Tensor
 from histadapter.cdc import CdcConv
-from histadapter.tokens import TokenGrid
 
 rng = np.random.default_rng(1)
 
@@ -19,7 +18,7 @@ layer.bias.data[:] = 0.0
 # a flat region with one bright pixel: the difference term fires around it
 x = np.zeros((1, 7, 7))
 x[0, 3, 3] = 1.0
-out = layer(TokenGrid(Tensor(x))).grid.data[0]
+out = layer.forward_tensor(Tensor(x)).data[0]
 print("response around an isolated spike (theta=0.7):")
 print(np.array2string(out, precision=3, suppress_small=True))
 
@@ -27,7 +26,7 @@ print(np.array2string(out, precision=3, suppress_small=True))
 flat = np.full((1, 7, 7), 0.42)
 layer_pure_diff = CdcConv(1, 1, rng, theta=1.0)
 layer_pure_diff.bias.data[:] = 0.0
-diff_only = layer_pure_diff(TokenGrid(Tensor(flat))).grid.data
+diff_only = layer_pure_diff.forward_tensor(Tensor(flat)).data
 print("\nconstant input, theta=1 output is exactly zero:",
       bool(np.all(diff_only == 0.0)))
 
@@ -35,12 +34,12 @@ print("\nconstant input, theta=1 output is exactly zero:",
 plain = ad.conv2d(Tensor(x), layer.kernel, layer.bias, stride=1, padding=1).data
 layer.theta = 0.0
 print("theta=0 equals conv2d bit-exactly          :",
-      bool(np.array_equal(layer(TokenGrid(Tensor(x))).grid.data, plain)))
+      bool(np.array_equal(layer.forward_tensor(Tensor(x)).data, plain)))
 
 # sweep theta: difference share grows, smooth share shrinks
 layer.theta = 0.7
 print("\n  theta   |output|_F")
 for theta in (0.0, 0.3, 0.5, 0.7, 0.9):
     layer.theta = theta
-    frob = np.sqrt((layer(TokenGrid(Tensor(x))).grid.data ** 2).sum())
+    frob = np.sqrt((layer.forward_tensor(Tensor(x)).data ** 2).sum())
     print(f"   {theta:.1f}     {frob:.4f}")

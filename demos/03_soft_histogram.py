@@ -8,7 +8,6 @@ import numpy as np
 
 from histadapter.autodiff import Tensor
 from histadapter.histogram import SoftHistogram
-from histadapter.tokens import TokenGrid
 
 # response of a single bin to a sweep of constant inputs
 layer = SoftHistogram(1)
@@ -17,14 +16,14 @@ layer.gamma.data[:] = 2.0
 print("input value -> interior histogram response (mu=0.5, gamma=2):")
 for v in np.linspace(-0.5, 1.5, 9):
     z = np.full((1, 5, 5), v)
-    out = layer(TokenGrid(Tensor(z))).grid.data
+    out = layer.forward_tensor(Tensor(z)).data
     print(f"  z={v:+.2f}   response={out[0, 2, 2]:.4f}")
 
 # the classic hand case: one spike in a field of zeros, mu=0, gamma=1
 layer = SoftHistogram(1)
 z = np.zeros((1, 3, 3))
 z[0, 1, 1] = 1.0
-out = layer(TokenGrid(Tensor(z))).grid.data
+out = layer.forward_tensor(Tensor(z)).data
 print("\nspike-in-zeros center value:", out[0, 1, 1])
 print("analytic (8 + e^-1) / 9    :", (8 + np.exp(-1.0)) / 9)
 

@@ -9,7 +9,6 @@ import numpy as np
 
 from histadapter.autodiff import Tensor
 from histadapter.losses import batch_tsr, gram, tsr_pair
-from histadapter.tokens import TokenGrid
 
 rng = np.random.default_rng(4)
 
@@ -18,14 +17,14 @@ content = rng.standard_normal((4, 6, 6))
 domain_a = content * 1.0
 domain_b = content * 1.6 + 0.3
 
-ga = gram(TokenGrid(Tensor(domain_a))).data
-gb = gram(TokenGrid(Tensor(domain_b))).data
+ga = gram(Tensor(domain_a)).data
+gb = gram(Tensor(domain_b)).data
 print("gram diagonal, domain A:", np.diag(ga).round(3))
 print("gram diagonal, domain B:", np.diag(gb).round(3))
 print("style distance         :",
-      float(tsr_pair(TokenGrid(Tensor(domain_a)), TokenGrid(Tensor(domain_b))).data))
+      float(tsr_pair(Tensor(domain_a), Tensor(domain_b)).data))
 print("distance to itself     :",
-      float(tsr_pair(TokenGrid(Tensor(domain_a)), TokenGrid(Tensor(domain_a))).data))
+      float(tsr_pair(Tensor(domain_a), Tensor(domain_a)).data))
 
 # batch version: grouped by domain, bona fide only
 maps = Tensor(rng.standard_normal((6, 4, 3, 3)), requires_grad=True)

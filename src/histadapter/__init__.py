@@ -40,7 +40,7 @@ from histadapter.synth import (
     split_protocol,
     style_bank,
 )
-from histadapter.tokens import TokenGrid, TokenSequence, grid_to_seq, seq_to_grid
+from histadapter.tokens import grid_to_seq, seq_to_grid
 from histadapter.training import evaluate_run, train_run
 from histadapter.vit import PRESETS, ViTConfig, VisionTransformer, build_model
 
@@ -63,8 +63,6 @@ __all__ = [
     "SoftHistogram",
     "SynthProtocol",
     "Tensor",
-    "TokenGrid",
-    "TokenSequence",
     "VARIANTS",
     "ViTConfig",
     "VisionTransformer",

@@ -25,6 +25,8 @@ trailing linear map (initialized to project back onto the original tokens).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from histadapter import autodiff as ad
@@ -32,7 +34,7 @@ from histadapter.autodiff import ShapeError, Tensor
 from histadapter.cdc import CdcConv
 from histadapter.histogram import SoftHistogram
 from histadapter.nn import Linear, prefixed, set_trainable
-from histadapter.tokens import TokenSequence, grid_to_seq, seq_to_grid
+from histadapter.tokens import grid_to_seq, seq_to_grid
 
 __all__ = ["HistAdapter", "VARIANTS", "FUSIONS", "insert_into_block"]
 
@@ -78,40 +80,36 @@ class HistAdapter:
         self.capture_style = False
         self.last_style_map: Tensor | None = None
 
-    def apply(self, seq: TokenSequence) -> TokenSequence:
-        tokens = seq.tokens
+    def apply(self, tokens: Tensor) -> Tensor:
+        """(..., 1 + N, model_dim) tokens, class token at row 0, N a square number."""
         if tokens.shape[-1] != self.model_dim:
             raise ShapeError(
                 f"adapter built for width {self.model_dim}, got tokens {tokens.shape}"
             )
-        if seq.has_class:
-            cls_rows, patches = tokens[..., :1, :], tokens[..., 1:, :]
-        else:
-            cls_rows, patches = None, tokens
+        cls_rows, patches = tokens[..., :1, :], tokens[..., 1:, :]
 
         h = self.dim_down(patches)
         if self.variant in _USES_GELU:
             h = ad.gelu(h)
 
         if self.cdc is not None or self.capture_style:
-            grid = seq_to_grid(TokenSequence(h, seq.grid_h, seq.grid_w, has_class=False))
+            side = math.isqrt(patches.shape[-2])
+            grid = seq_to_grid(h, side, side)
             if self.cdc is not None:
-                grid = self.cdc(grid)
+                grid = self.cdc.forward_tensor(grid)
             if self.capture_style:
-                self.last_style_map = grid.grid
+                self.last_style_map = grid
             if self.hist is not None:
-                grid = self.hist(grid)
+                grid = self.hist.forward_tensor(grid)
             if self.cdc is not None:
-                h = grid_to_seq(grid).tokens
+                h = grid_to_seq(grid)
 
         branch = self.dim_up(h)
         if self.fuse is None:
             out = ad.add(patches, branch)
         else:
             out = self.fuse(ad.concat([patches, branch], axis=-1))
-        if cls_rows is not None:
-            out = ad.concat([cls_rows, out], axis=-2)
-        return TokenSequence(out, seq.grid_h, seq.grid_w, has_class=seq.has_class)
+        return ad.concat([cls_rows, out], axis=-2)
 
     def parameters(self) -> dict:
         params = prefixed("dim_down", self.dim_down.parameters())

@@ -267,8 +267,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         )
 
     def backward(g):
-        accumulate_grad(a, g @ np.swapaxes(b.data, -1, -2))
-        accumulate_grad(b, np.swapaxes(a.data, -1, -2) @ g)
+        if a.requires_grad:
+            accumulate_grad(a, g @ np.swapaxes(b.data, -1, -2))
+        if b.requires_grad:
+            accumulate_grad(b, np.swapaxes(a.data, -1, -2) @ g)
 
     return graph_op(a.data @ b.data, (a, b), backward)
 

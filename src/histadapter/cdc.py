@@ -17,7 +17,6 @@ import numpy as np
 
 from histadapter import autodiff as ad
 from histadapter.autodiff import Tensor
-from histadapter.tokens import TokenGrid
 
 __all__ = ["CdcConv"]
 
@@ -45,10 +44,8 @@ class CdcConv:
         self.in_channels = in_channels
         self.out_channels = out_channels
 
-    def __call__(self, grid: TokenGrid) -> TokenGrid:
-        return TokenGrid(grid=self.forward_tensor(grid.grid), class_token=grid.class_token)
-
     def forward_tensor(self, x: Tensor) -> Tensor:
+        """(Cin, H, W) or (B, Cin, H, W) map to the same layout with Cout channels."""
         _check_theta(self.theta)
         z = ad.conv2d(x, self.kernel, self.bias, stride=1, padding=1)
         if self.theta == 0.0:

@@ -14,6 +14,7 @@ for byte, and loading returns exactly the float32 values that were written.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -27,7 +28,7 @@ __all__ = ["MAGIC", "CheckpointError", "save_checkpoint", "load_checkpoint"]
 
 
 class CheckpointError(ValueError):
-    """Raised for bad magic, truncated records, or malformed extents."""
+    """Raised for bad magic, truncated records, bad or duplicate names, or bad extents."""
 
 
 def save_checkpoint(params: dict, path) -> None:
@@ -68,14 +69,22 @@ def load_checkpoint(path) -> dict:
 
     while offset < len(blob):
         (name_len,) = struct.unpack("<Q", take(8))
-        name = take(name_len).decode("utf-8")
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: parameter name is not UTF-8: {exc}") from exc
+        if name in params:
+            raise CheckpointError(f"{path}: duplicate parameter name {name!r}")
         (rank,) = struct.unpack("<Q", take(8))
         if rank > 32:
             raise CheckpointError(f"{path}: implausible rank {rank} for {name!r}")
         extents = tuple(int(e) for e in np.frombuffer(take(8 * rank), dtype="<u8"))
-        count = int(np.prod(extents)) if rank else 1
-        data = np.frombuffer(take(4 * count), dtype="<f4").reshape(extents)
-        params[name] = data.copy()
+        # exact integer product: a numpy product of u64 extents can wrap around
+        data = np.frombuffer(take(4 * math.prod(extents)), dtype="<f4")
+        try:
+            params[name] = data.reshape(extents).copy()
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: extents {extents} of {name!r}: {exc}") from exc
     return params
 
 

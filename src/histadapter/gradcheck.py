@@ -15,7 +15,6 @@ from histadapter import autodiff as ad
 from histadapter.adapter import HistAdapter
 from histadapter.autodiff import GradCheckReport, Tensor, finite_difference_check
 from histadapter.losses import binary_cross_entropy_with_logits, gram, tsr_pair
-from histadapter.tokens import TokenGrid, TokenSequence
 
 __all__ = ["run_gradient_checks", "OP_TOLERANCE", "COMPOSED_TOLERANCE"]
 
@@ -146,7 +145,7 @@ def _objective_checks(rng, instances):
         z = Tensor(rng.standard_normal((3, 4, 4)), requires_grad=True)
         head = _readout(rng, (3, 3))
         reports.append(finite_difference_check(
-            lambda t: head(gram(TokenGrid(t))), z, op_name="gram"))
+            lambda t: head(gram(t)), z, op_name="gram"))
     yield _merge("gram", reports, OP_TOLERANCE)
 
     reports = []
@@ -154,7 +153,7 @@ def _objective_checks(rng, instances):
         z1 = Tensor(rng.standard_normal((3, 4, 4)), requires_grad=True)
         z2 = Tensor(rng.standard_normal((3, 4, 4)))
         reports.append(finite_difference_check(
-            lambda t: tsr_pair(TokenGrid(t), TokenGrid(z2)), z1, op_name="tsr_pair"))
+            lambda t: tsr_pair(t, z2), z1, op_name="tsr_pair"))
     yield _merge("tsr_pair", reports, OP_TOLERANCE)
 
 
@@ -170,8 +169,7 @@ def _composed_adapter_checks(rng):
     head = _readout(rng, (side * side + 1, model_dim))
 
     def run(seq_tokens):
-        seq = TokenSequence(seq_tokens, side, side, has_class=True)
-        return head(adapter.apply(seq).tokens)
+        return head(adapter.apply(seq_tokens))
 
     x = Tensor(tokens.copy(), requires_grad=True)
     yield finite_difference_check(run, x, tolerance=COMPOSED_TOLERANCE,

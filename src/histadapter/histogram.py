@@ -21,7 +21,6 @@ import numpy as np
 from histadapter import autodiff as ad
 from histadapter.autodiff import Tensor
 from histadapter.nn import channel_map
-from histadapter.tokens import TokenGrid
 
 __all__ = ["SoftHistogram"]
 
@@ -43,10 +42,8 @@ class SoftHistogram:
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.channels = channels
 
-    def __call__(self, grid: TokenGrid) -> TokenGrid:
-        return TokenGrid(grid=self.forward_tensor(grid.grid), class_token=grid.class_token)
-
     def forward_tensor(self, z: Tensor) -> Tensor:
+        """(C, H, W) or (B, C, H, W) map to per-channel soft-bin responses, same shape."""
         zp = ad.pad2d(z, 1)
         # stage 1: weight SHIFT_WEIGHT (frozen), learnable bias -mu
         centered = ad.sub(zp, channel_map(self.mu, zp))

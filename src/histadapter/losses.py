@@ -15,7 +15,6 @@ import numpy as np
 
 from histadapter import autodiff as ad
 from histadapter.autodiff import ShapeError, Tensor, accumulate_grad, graph_op
-from histadapter.tokens import TokenGrid
 
 __all__ = [
     "gram",
@@ -31,9 +30,8 @@ __all__ = [
 BONA_FIDE, ATTACK = 0, 1
 
 
-def gram(grid: TokenGrid) -> Tensor:
+def gram(z: Tensor) -> Tensor:
     """Channel-by-channel second moment: G[k,k'] = sum_hw z_k z_k' / (C*H*W)."""
-    z = grid.grid
     if z.ndim != 3:
         raise ShapeError(f"gram expects a single (C, H, W) map, got {z.shape}")
     c, h, w = z.shape
@@ -41,12 +39,10 @@ def gram(grid: TokenGrid) -> Tensor:
     return ad.scale(ad.matmul(flat, ad.transpose(flat, (1, 0))), 1.0 / (c * h * w))
 
 
-def tsr_pair(z1: TokenGrid, z2: TokenGrid) -> Tensor:
-    """Squared Frobenius distance between two maps' Gram matrices."""
-    if z1.grid.shape[0] != z2.grid.shape[0]:
-        raise ShapeError(
-            f"style maps disagree in channels: {z1.grid.shape} vs {z2.grid.shape}"
-        )
+def tsr_pair(z1: Tensor, z2: Tensor) -> Tensor:
+    """Squared Frobenius distance between two (C, H, W) maps' Gram matrices."""
+    if z1.shape[0] != z2.shape[0]:
+        raise ShapeError(f"style maps disagree in channels: {z1.shape} vs {z2.shape}")
     return ad.frobenius_sq(ad.sub(gram(z1), gram(z2)))
 
 
@@ -78,7 +74,7 @@ def _bona_fide_rows_by_domain(labels, domain_ids):
 
 
 def group_bona_fide_by_domain(style_maps: Tensor, labels, domain_ids) -> list:
-    """Pool each domain's bona fide maps into one grid per domain.
+    """Pool each domain's bona fide maps into one (C, m*H, W) map per domain.
 
     ``style_maps`` is the batch of per-example token maps (B, C, H, W).
     Pooling concatenates a domain's maps along the row axis, so its Gram
@@ -88,8 +84,7 @@ def group_bona_fide_by_domain(style_maps: Tensor, labels, domain_ids) -> list:
     for idx in _bona_fide_rows_by_domain(labels, domain_ids):
         rows = ad.take_rows(style_maps, idx)  # (m, C, H, W)
         m, c, h, w = rows.shape
-        pooled = ad.reshape(ad.transpose(rows, (1, 0, 2, 3)), (c, m * h, w))
-        grids.append(TokenGrid(pooled))
+        grids.append(ad.reshape(ad.transpose(rows, (1, 0, 2, 3)), (c, m * h, w)))
     return grids
 
 
@@ -104,7 +99,7 @@ def batch_tsr(style_maps: Tensor, labels, domain_ids, aggregation: str = "domain
         return tsr_average(group_bona_fide_by_domain(style_maps, labels, domain_ids))
     if aggregation != "pairwise":
         raise ValueError(f"unknown aggregation {aggregation!r}")
-    by_domain = [[TokenGrid(style_maps[int(i)]) for i in idx]
+    by_domain = [[style_maps[int(i)] for i in idx]
                  for idx in _bona_fide_rows_by_domain(labels, domain_ids)]
     return _mean_tsr([(ga, gb) for da, db in combinations(by_domain, 2)
                       for ga in da for gb in db])

@@ -102,6 +102,10 @@ def train_run(cfg: RunConfig, out_dir=None) -> TrainResult:
     lines = [TRAIN_LOG_HEADER]
     lines += [f"{e},{b:.10g},{t:.10g},{tot:.10g}" for e, b, t, tot in rows]
     log_path.write_text("\n".join(lines) + "\n")
+    for epoch, *means in rows:
+        if not np.all(np.isfinite(means)):
+            raise ValueError(f"training diverged: non-finite loss in epoch {epoch}; "
+                             f"see {log_path}, no checkpoint written")
 
     checkpoint_path = out / "model.ckpt"
     save_checkpoint(model.parameters(), checkpoint_path)

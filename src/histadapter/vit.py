@@ -16,7 +16,6 @@ from histadapter import autodiff as ad
 from histadapter.adapter import HistAdapter, insert_into_block
 from histadapter.autodiff import ShapeError, Tensor
 from histadapter.nn import Linear, prefixed, set_trainable
-from histadapter.tokens import TokenSequence
 
 __all__ = ["ViTConfig", "ViTBlock", "VisionTransformer", "PRESETS", "build_model"]
 
@@ -96,9 +95,8 @@ class ViTBlock:
         ctx = ad.transpose(ad.matmul(att, v), (0, 2, 1, 3))
         return ad.reshape(ctx, (b, n, d)), att
 
-    def mhsa(self, seq: TokenSequence) -> TokenSequence:
+    def mhsa(self, x: Tensor) -> Tensor:
         """Self-attention sublayer (projection included, no residual)."""
-        x = seq.tokens
         if x.shape[-1] != self.cfg.width:
             raise ShapeError(f"block width {self.cfg.width}, got tokens {x.shape}")
         squeeze = x.ndim == 2
@@ -108,25 +106,20 @@ class ViTBlock:
         out = self.proj(ctx)
         if squeeze:
             out = ad.reshape(out, out.shape[1:])
-        return TokenSequence(out, seq.grid_h, seq.grid_w, seq.has_class)
+        return out
 
-    def attention_weights(self, seq: TokenSequence) -> np.ndarray:
-        x = seq.tokens
+    def attention_weights(self, x: Tensor) -> np.ndarray:
         if x.ndim == 2:
             x = ad.reshape(x, (1,) + x.shape)
         _, att = self._attention(x)
         return att.data
 
-    def forward(self, seq: TokenSequence) -> TokenSequence:
-        x = seq.tokens
-        t = ad.add(x, self.mhsa(TokenSequence(
-            ad.layernorm(x, self.ln1_gain, self.ln1_shift),
-            seq.grid_h, seq.grid_w, seq.has_class)).tokens)
-        mid = TokenSequence(t, seq.grid_h, seq.grid_w, seq.has_class)
+    def forward(self, x: Tensor) -> Tensor:
+        t = ad.add(x, self.mhsa(ad.layernorm(x, self.ln1_gain, self.ln1_shift)))
         if self.msa_adapter is not None:
-            mid = self.msa_adapter.apply(mid)
-        y = self.fc2(ad.gelu(self.fc1(ad.layernorm(mid.tokens, self.ln2_gain, self.ln2_shift))))
-        out = TokenSequence(ad.add(mid.tokens, y), seq.grid_h, seq.grid_w, seq.has_class)
+            t = self.msa_adapter.apply(t)
+        y = self.fc2(ad.gelu(self.fc1(ad.layernorm(t, self.ln2_gain, self.ln2_shift))))
+        out = ad.add(t, y)
         if self.mlp_adapter is not None:
             out = self.mlp_adapter.apply(out)
         return out
@@ -175,7 +168,8 @@ class VisionTransformer:
         x = ad.transpose(x, (0, 2, 4, 1, 3, 5))
         return ad.reshape(x, (b, g * g, cfg.patch_dim))
 
-    def embed(self, images: Tensor) -> TokenSequence:
+    def embed(self, images: Tensor) -> Tensor:
+        """(B, 3, S, S) images -> (B, 1 + N, width) tokens, class token at row 0."""
         cfg = self.cfg
         b = images.shape[0]
         tokens = self.patch_embed(self.patchify(images))
@@ -185,17 +179,16 @@ class VisionTransformer:
         pos = ad.broadcast_to(
             ad.reshape(self.pos_embed, (1, cfg.token_count, cfg.width)), tokens.shape
         )
-        return TokenSequence(ad.add(tokens, pos), cfg.grid_side, cfg.grid_side,
-                             has_class=True)
+        return ad.add(tokens, pos)
 
     def forward(self, images) -> Tensor:
         """Images to 2-class logits (index 1 is the attack class)."""
         if not isinstance(images, Tensor):
             images = Tensor(images)
-        seq = self.embed(images)
+        x = self.embed(images)
         for block in self.blocks:
-            seq = block.forward(seq)
-        x = ad.layernorm(seq.tokens, self.final_gain, self.final_shift)
+            x = block.forward(x)
+        x = ad.layernorm(x, self.final_gain, self.final_shift)
         return self.head(x[:, 0, :])
 
     def insert_adapters(self, rng: np.random.Generator, adapter_dim: int = 8,

@@ -19,7 +19,6 @@ from histadapter.losses import batch_tsr, binary_cross_entropy_with_logits, tsr_
 from histadapter.metrics import ScoreSet, acer_suite, auc, eer, roc
 from histadapter.optim import Adam
 from histadapter.overhead import account
-from histadapter.tokens import TokenGrid
 from histadapter.training import evaluate_run, train_run
 from histadapter.vit import build_model
 
@@ -59,13 +58,13 @@ def test_criterion_2_histogram_correctness():
         layer.mu.data = rng.standard_normal(c)
         layer.gamma.data = rng.standard_normal(c) * 2
         z = rng.standard_normal((c, h, w)) * 2
-        got = layer(TokenGrid(Tensor(z))).grid.data
+        got = layer.forward_tensor(Tensor(z)).data
         want = soft_histogram_loops(z, layer.mu.data, layer.gamma.data)
         worst = max(worst, float(np.abs(got - want).max()))
         in_range = in_range and bool(np.all((got > 0.0) & (got <= 1.0)))
     spike = np.zeros((1, 3, 3))
     spike[0, 1, 1] = 1.0
-    center = SoftHistogram(1)(TokenGrid(Tensor(spike))).grid.data[0, 1, 1]
+    center = SoftHistogram(1).forward_tensor(Tensor(spike)).data[0, 1, 1]
     hand_err = abs(center - (8.0 + np.exp(-1.0)) / 9.0)
     ok = worst < 1e-12 and in_range and hand_err < 1e-12
     report(2, ok, f"1000 layered-vs-direct inputs, max abs err {worst:.2e} < 1e-12; "
@@ -78,21 +77,21 @@ def test_criterion_3_cdc_identities():
     layer.bias.data = rng.standard_normal(2)
     x = Tensor(rng.standard_normal((2, 5, 5)))
     theta0 = np.array_equal(
-        layer(TokenGrid(x)).grid.data,
+        layer.forward_tensor(x).data,
         ad.conv2d(x, layer.kernel, layer.bias, stride=1, padding=1).data,
     )
 
     diff_layer = CdcConv(2, 2, rng, theta=1.0)
     diff_layer.bias.data[:] = 0.0
     const = Tensor(np.full((2, 5, 5), -1.37))
-    const_zero = bool(np.all(diff_layer(TokenGrid(const)).grid.data == 0.0))
+    const_zero = bool(np.all(diff_layer.forward_tensor(const).data == 0.0))
 
     worst = 0.0
     blend = CdcConv(2, 2, rng, theta=0.7)
     blend.bias.data = rng.standard_normal(2)
     for _ in range(20):
         xi = rng.standard_normal((2, 5, 5))
-        got = blend(TokenGrid(Tensor(xi))).grid.data
+        got = blend.forward_tensor(Tensor(xi)).data
         want = (0.3 * conv2d_loops(xi, blend.kernel.data, blend.bias.data, 1, 1)
                 + 0.7 * cdc_difference_loops(xi, blend.kernel.data))
         worst = max(worst, float(np.abs(got - want).max()))
@@ -128,10 +127,10 @@ def test_criterion_4_adapter_identity_at_init():
 def test_criterion_5_tsr_algebra():
     rng = np.random.default_rng(5)
     z = rng.standard_normal((3, 4, 4))
-    self_zero = float(tsr_pair(TokenGrid(Tensor(z)), TokenGrid(Tensor(z))).data) == 0.0
-    sign_zero = float(tsr_pair(TokenGrid(Tensor(z)), TokenGrid(Tensor(-z))).data) == 0.0
+    self_zero = float(tsr_pair(Tensor(z), Tensor(z)).data) == 0.0
+    sign_zero = float(tsr_pair(Tensor(z), Tensor(-z)).data) == 0.0
 
-    grids = [TokenGrid(Tensor(rng.standard_normal((3, 4, 4)))) for _ in range(3)]
+    grids = [Tensor(rng.standard_normal((3, 4, 4))) for _ in range(3)]
     avg = float(tsr_average(grids).data)
     pairs = [float(tsr_pair(a, b).data) for a, b in combinations(grids, 2)]
     three_pairs = len(pairs) == 3 and abs(avg - np.mean(pairs)) < 1e-15

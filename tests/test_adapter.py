@@ -4,12 +4,12 @@ import pytest
 from histadapter import autodiff as ad
 from histadapter.adapter import VARIANTS, HistAdapter
 from histadapter.autodiff import ShapeError, Tensor, finite_difference_check
-from histadapter.tokens import TokenSequence
 
 
-def make_seq(rng, n_tokens=10, width=16, grid=3, batch=None, has_class=True):
+def make_seq(rng, n_tokens=10, width=16, batch=None):
+    """A class token plus a 3x3 grid of patch tokens by default."""
     shape = (n_tokens, width) if batch is None else (batch, n_tokens, width)
-    return TokenSequence(Tensor(rng.standard_normal(shape)), grid, grid, has_class)
+    return Tensor(rng.standard_normal(shape))
 
 
 class TestIdentityAtInit:
@@ -19,22 +19,22 @@ class TestIdentityAtInit:
         adapter = HistAdapter(16, rng, adapter_dim=4, variant=variant)
         seq = make_seq(rng)
         out = adapter.apply(seq)
-        assert np.array_equal(out.tokens.data, seq.tokens.data)
+        assert np.array_equal(out.data, seq.data)
 
     def test_concat_fusion_also_identity(self):
         rng = np.random.default_rng(1)
         adapter = HistAdapter(16, rng, adapter_dim=4, fusion="concat")
         seq = make_seq(rng, batch=3)
         out = adapter.apply(seq)
-        assert np.array_equal(out.tokens.data, seq.tokens.data)
+        assert np.array_equal(out.data, seq.data)
 
 
 class TestShapesAndClassToken:
     def test_output_shape_196_plus_class_at_base_width(self):
         rng = np.random.default_rng(2)
         adapter = HistAdapter(768, rng)
-        seq = TokenSequence(Tensor(rng.standard_normal((197, 768))), 14, 14, True)
-        assert adapter.apply(seq).tokens.shape == (197, 768)
+        seq = Tensor(rng.standard_normal((197, 768)))
+        assert adapter.apply(seq).shape == (197, 768)
 
     def test_class_token_bitwise_unchanged_after_training_drift(self):
         rng = np.random.default_rng(3)
@@ -42,14 +42,20 @@ class TestShapesAndClassToken:
         adapter.dim_up.weight.data = rng.standard_normal((4, 16))
         seq = make_seq(rng, batch=2)
         out = adapter.apply(seq)
-        assert np.array_equal(out.tokens.data[:, 0, :], seq.tokens.data[:, 0, :])
-        assert not np.array_equal(out.tokens.data[:, 1:, :], seq.tokens.data[:, 1:, :])
+        assert np.array_equal(out.data[:, 0, :], seq.data[:, 0, :])
+        assert not np.array_equal(out.data[:, 1:, :], seq.data[:, 1:, :])
 
     def test_width_mismatch_rejected(self):
         rng = np.random.default_rng(4)
         adapter = HistAdapter(16, rng)
         with pytest.raises(ShapeError, match="width"):
             adapter.apply(make_seq(rng, width=8))
+
+    def test_non_square_patch_count_rejected(self):
+        rng = np.random.default_rng(4)
+        adapter = HistAdapter(16, rng)
+        with pytest.raises(ShapeError, match="patch tokens"):
+            adapter.apply(make_seq(rng, n_tokens=11))
 
 
 class TestParameterSurface:
@@ -98,7 +104,7 @@ class TestVariantLattice:
         a.dim_up.weight.data = w.copy()
         b.dim_up.weight.data = w.copy()
         seq = make_seq(rng)
-        assert np.array_equal(a.apply(seq).tokens.data, b.apply(seq).tokens.data)
+        assert np.array_equal(a.apply(seq).data, b.apply(seq).data)
 
     def test_no_hist_differs_from_full_once_trained_region(self):
         rng = np.random.default_rng(11)
@@ -108,8 +114,8 @@ class TestVariantLattice:
         full.dim_up.weight.data = w.copy()
         nohist.dim_up.weight.data = w.copy()
         seq = make_seq(rng)
-        assert not np.array_equal(full.apply(seq).tokens.data,
-                                  nohist.apply(seq).tokens.data)
+        assert not np.array_equal(full.apply(seq).data,
+                                  nohist.apply(seq).data)
 
 
 class TestStyleCapture:
@@ -139,8 +145,7 @@ class TestEndToEndGradient:
         head_w = Tensor(rng.standard_normal((10, 12)))
 
         def f(t):
-            out = adapter.apply(TokenSequence(t, 3, 3, has_class=True))
-            return ad.sum_all(ad.mul(out.tokens, head_w))
+            return ad.sum_all(ad.mul(adapter.apply(t), head_w))
 
         x = Tensor(tokens, requires_grad=True)
         rep = finite_difference_check(f, x, tolerance=1e-4, op_name="adapter")

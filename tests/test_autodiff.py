@@ -78,6 +78,25 @@ class TestMatmul:
         assert finite_difference_check(
             lambda t: head(ad.matmul(a, t)), b).max_relative_error < 1e-6
 
+    def test_frozen_operand_gets_no_gradient_built(self, monkeypatch):
+        passed = []
+        accumulate = ad.accumulate_grad
+
+        def spy(t, g):
+            passed.append(t)
+            accumulate(t, g)
+
+        monkeypatch.setattr(ad, "accumulate_grad", spy)
+        rng = np.random.default_rng(3)
+        frozen_a = Tensor(rng.standard_normal((3, 4)))
+        frozen_b = Tensor(rng.standard_normal((4, 2)))
+        live_a = Tensor(frozen_a.data.copy(), requires_grad=True)
+        live_b = Tensor(frozen_b.data.copy(), requires_grad=True)
+        for lhs, rhs in ((frozen_a, live_b), (live_a, frozen_b)):
+            ad.sum_all(ad.matmul(lhs, rhs)).backward()
+        assert not any(t is frozen_a or t is frozen_b for t in passed)
+        assert live_a.grad is not None and live_b.grad is not None
+
 
 class TestConv2d:
     def test_unit_kernel_identity(self):

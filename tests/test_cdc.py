@@ -4,7 +4,6 @@ import pytest
 from histadapter import autodiff as ad
 from histadapter.autodiff import Tensor, finite_difference_check
 from histadapter.cdc import CdcConv
-from histadapter.tokens import TokenGrid
 
 from oracles import cdc_difference_loops, conv2d_loops
 
@@ -27,7 +26,7 @@ class TestIdentities:
         layer = make_layer(theta=0.0)
         rng = np.random.default_rng(1)
         x = Tensor(rng.standard_normal((2, 5, 5)))
-        got = layer(TokenGrid(x)).grid.data
+        got = layer.forward_tensor(x).data
         plain = ad.conv2d(x, layer.kernel, layer.bias, stride=1, padding=1).data
         assert np.array_equal(got, plain)
 
@@ -37,7 +36,7 @@ class TestIdentities:
         layer.bias.data[:] = 0.0
         x = Tensor(np.full((2, 6, 7), value))
         # theta=1 output is purely the difference term
-        out = layer(TokenGrid(x)).grid.data
+        out = layer.forward_tensor(x).data
         assert np.all(out == 0.0)
 
     def test_constant_input_interior_value(self):
@@ -46,7 +45,7 @@ class TestIdentities:
         layer = make_layer(theta=0.7)
         c = 0.83
         x = Tensor(np.full((2, 5, 5), c))
-        out = layer(TokenGrid(x)).grid.data
+        out = layer.forward_tensor(x).data
         ksum = layer.kernel.data.sum(axis=(1, 2, 3))
         expected = (1 - 0.7) * (c * ksum + layer.bias.data)
         assert np.allclose(out[:, 2, 2], expected, atol=1e-12)
@@ -54,7 +53,7 @@ class TestIdentities:
     def test_shape_preserved(self):
         layer = make_layer(theta=0.5, cin=3, cout=5)
         x = Tensor(np.random.default_rng(2).standard_normal((3, 4, 6)))
-        assert layer(TokenGrid(x)).grid.shape == (5, 4, 6)
+        assert layer.forward_tensor(x).shape == (5, 4, 6)
 
 
 class TestOracleEquivalence:
@@ -64,16 +63,16 @@ class TestOracleEquivalence:
         layer = make_layer(theta=theta, seed=4)
         for _ in range(5):
             x = rng.standard_normal((2, 5, 5))
-            got = layer(TokenGrid(Tensor(x))).grid.data
+            got = layer.forward_tensor(Tensor(x)).data
             assert np.abs(got - blend_oracle(x, layer)).max() < 1e-10
 
     def test_batched_matches_single(self):
         layer = make_layer(theta=0.7)
         rng = np.random.default_rng(5)
         x = rng.standard_normal((3, 2, 4, 4))
-        batched = layer(TokenGrid(Tensor(x))).grid.data
+        batched = layer.forward_tensor(Tensor(x)).data
         for i in range(3):
-            single = layer(TokenGrid(Tensor(x[i]))).grid.data
+            single = layer.forward_tensor(Tensor(x[i])).data
             assert np.allclose(batched[i], single, atol=1e-13, rtol=0)
 
 
@@ -87,7 +86,7 @@ class TestValidation:
         layer = make_layer(theta=0.5)
         layer.theta = 1.2
         with pytest.raises(ValueError, match="theta"):
-            layer(TokenGrid(Tensor(np.zeros((2, 3, 3)))))
+            layer.forward_tensor(Tensor(np.zeros((2, 3, 3))))
 
 
 class TestGradients:
@@ -107,10 +106,3 @@ class TestGradients:
                 lambda t: head(layer.forward_tensor(fixed)), param,
                 op_name=f"cdc/{name}")
             assert rep.passed, rep
-
-    def test_class_token_passes_through(self):
-        layer = make_layer(theta=0.7)
-        cls = Tensor(np.array([1.0, 2.0]))
-        grid = TokenGrid(Tensor(np.zeros((2, 3, 3))), class_token=cls)
-        out = layer(grid)
-        assert out.class_token is cls

@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from histadapter.autodiff import Tensor
 from histadapter.checkpoint import (
@@ -79,3 +83,46 @@ def test_assign_validates_names_and_shapes(tmp_path, params):
     bad["cdc.bias"] = Tensor(np.zeros(7))
     with pytest.raises(CheckpointError, match="shape"):
         assign_parameters(bad, loaded)
+
+
+def record(name: bytes, extents, data: bytes = b"") -> bytes:
+    """One raw checkpoint record, with whatever fields the caller gives."""
+    return (struct.pack("<Q", len(name)) + name + struct.pack("<Q", len(extents))
+            + np.asarray(extents, dtype="<u8").tobytes() + data)
+
+
+@pytest.mark.parametrize("body,match", [
+    (record(b"\xff\xfe", [1], b"\0" * 4), "UTF-8"),
+    (record(b"w", [1], b"\0" * 4) * 2, "duplicate"),
+    (record(b"w", [2 ** 62, 4]), "truncated"),  # element count wraps to 0 in int64
+    (record(b"w", [0, 2 ** 64 - 1]), "extents"),  # zero elements, extent beyond intp
+], ids=["non_utf8_name", "duplicate_name", "overflowing_count", "huge_extent"])
+def test_malformed_record_rejected(tmp_path, body, match):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(MAGIC + body)
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
+@given(tail=st.binary(max_size=256))
+def test_fuzzed_bytes_load_or_raise_checkpoint_error(tmp_path, tail):
+    path = tmp_path / "fuzz.ckpt"
+    path.write_bytes(MAGIC + tail)
+    try:
+        load_checkpoint(path)
+    except CheckpointError:
+        pass
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
+@given(name=st.binary(max_size=8),
+       extents=st.lists(st.integers(0, 2 ** 64 - 1), max_size=4),
+       data=st.binary(max_size=64))
+def test_fuzzed_record_fields_load_or_raise_checkpoint_error(tmp_path, name, extents, data):
+    path = tmp_path / "fuzz.ckpt"
+    path.write_bytes(MAGIC + record(name, extents, data))
+    try:
+        load_checkpoint(path)
+    except CheckpointError:
+        pass

@@ -133,6 +133,14 @@ class TestTrainEval:
         assert calls["step"] > 1
         assert calls["bce"] == calls["step"]
 
+    def test_diverged_run_writes_log_but_no_checkpoint(self, tmp_path):
+        cfg = load_config(None, {**SMALL, "lr": "1e300", "out": str(tmp_path)})
+        with pytest.raises(ValueError, match="epoch 0"):
+            train_run(cfg)
+        rows = list(csv.DictReader((tmp_path / "train_log.csv").open()))
+        assert [r["total"] for r in rows] == ["nan", "nan"]
+        assert not (tmp_path / "model.ckpt").exists()
+
     def test_loss_decreases_on_default_toy_config(self, tmp_path):
         cfg = load_config(None, {"out": str(tmp_path), "epochs": "10"})
         train_run(cfg)

@@ -3,13 +3,12 @@ import numpy as np
 from histadapter import autodiff as ad
 from histadapter.autodiff import Tensor, finite_difference_check
 from histadapter.histogram import SoftHistogram
-from histadapter.tokens import TokenGrid
 
 from oracles import soft_histogram_loops
 
 
 def run(layer, z):
-    return layer(TokenGrid(Tensor(z))).grid.data
+    return layer.forward_tensor(Tensor(z)).data
 
 
 class TestHandCases:

@@ -12,19 +12,18 @@ from histadapter.losses import (
     tsr_average,
     tsr_pair,
 )
-from histadapter.tokens import TokenGrid
 
 from oracles import gram_loops, tsr_loops
 
 
 class TestGram:
     def test_zeros(self):
-        g = gram(TokenGrid(Tensor(np.zeros((3, 2, 2)))))
+        g = gram(Tensor(np.zeros((3, 2, 2))))
         assert np.array_equal(g.data, np.zeros((3, 3)))
 
     def test_hand_case(self):
         z = Tensor(np.array([[[1.0, 2.0]], [[3.0, 4.0]]]))  # C=2, H=1, W=2
-        g = gram(TokenGrid(z))
+        g = gram(z)
         assert np.allclose(g.data, np.array([[5.0, 11.0], [11.0, 25.0]]) / 4.0,
                            atol=1e-15)
 
@@ -32,7 +31,7 @@ class TestGram:
         rng = np.random.default_rng(0)
         for _ in range(10):
             z = rng.standard_normal((4, 3, 5))
-            g = gram(TokenGrid(Tensor(z))).data
+            g = gram(Tensor(z)).data
             assert np.abs(g - g.T).max() < 1e-12
             eigs = np.linalg.eigvalsh(g)
             assert eigs.min() > -1e-12
@@ -40,54 +39,54 @@ class TestGram:
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(1)
         z = rng.standard_normal((3, 4, 4))
-        got = gram(TokenGrid(Tensor(z))).data
+        got = gram(Tensor(z)).data
         assert np.abs(got - gram_loops(z)).max() < 1e-12
 
 
 class TestTsrPair:
     def test_identical_maps_zero(self):
         z = Tensor(np.random.default_rng(2).standard_normal((3, 4, 4)))
-        assert tsr_pair(TokenGrid(z), TokenGrid(z)).data == 0.0
+        assert tsr_pair(z, z).data == 0.0
 
     def test_sign_flip_zero(self):
         z = np.random.default_rng(3).standard_normal((3, 4, 4))
-        val = tsr_pair(TokenGrid(Tensor(z)), TokenGrid(Tensor(-z)))
+        val = tsr_pair(Tensor(z), Tensor(-z))
         assert val.data == 0.0
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(4)
         z1, z2 = rng.standard_normal((2, 3, 4, 4))
-        got = float(tsr_pair(TokenGrid(Tensor(z1)), TokenGrid(Tensor(z2))).data)
+        got = float(tsr_pair(Tensor(z1), Tensor(z2)).data)
         want = tsr_loops(z1, z2)
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ShapeError, match="channels"):
-            tsr_pair(TokenGrid(Tensor(np.zeros((2, 2, 2)))),
-                     TokenGrid(Tensor(np.zeros((3, 2, 2)))))
+            tsr_pair(Tensor(np.zeros((2, 2, 2))),
+                     Tensor(np.zeros((3, 2, 2))))
 
     def test_nonnegative(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             z1, z2 = rng.standard_normal((2, 2, 3, 3))
-            assert tsr_pair(TokenGrid(Tensor(z1)), TokenGrid(Tensor(z2))).data >= 0.0
+            assert tsr_pair(Tensor(z1), Tensor(z2)).data >= 0.0
 
 
 class TestTsrAverage:
     def test_three_domains_average_three_pairs(self):
         rng = np.random.default_rng(6)
-        grids = [TokenGrid(Tensor(rng.standard_normal((2, 3, 3)))) for _ in range(3)]
+        grids = [Tensor(rng.standard_normal((2, 3, 3))) for _ in range(3)]
         got = float(tsr_average(grids).data)
-        pairs = [tsr_loops(grids[i].grid.data, grids[j].grid.data)
+        pairs = [tsr_loops(grids[i].data, grids[j].data)
                  for i, j in ((0, 1), (0, 2), (1, 2))]
         assert abs(got - np.mean(pairs)) < 1e-12
 
     def test_identical_domains_zero(self):
         z = Tensor(np.random.default_rng(7).standard_normal((2, 3, 3)))
-        assert float(tsr_average([TokenGrid(z)] * 4).data) == 0.0
+        assert float(tsr_average([z] * 4).data) == 0.0
 
     def test_degenerate_single_domain_is_zero(self):
-        z = TokenGrid(Tensor(np.ones((2, 2, 2))))
+        z = Tensor(np.ones((2, 2, 2)))
         assert float(tsr_average([z]).data) == 0.0
         assert float(tsr_average([]).data) == 0.0
 
@@ -122,7 +121,7 @@ class TestBatchTsr:
         rng = np.random.default_rng(10)
         maps, labels, domains = self._batch(rng, [0, 0, 0], [1, 1, 2])
         grids = group_bona_fide_by_domain(maps, labels, domains)
-        assert [g.grid.shape for g in grids] == [(3, 4, 2), (3, 2, 2)]
+        assert [g.shape for g in grids] == [(3, 4, 2), (3, 2, 2)]
 
     def test_fd_gradient(self):
         rng = np.random.default_rng(11)

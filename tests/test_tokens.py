@@ -3,68 +3,53 @@ import pytest
 
 from histadapter import autodiff as ad
 from histadapter.autodiff import ShapeError, Tensor, finite_difference_check
-from histadapter.tokens import TokenGrid, TokenSequence, grid_to_seq, seq_to_grid
+from histadapter.tokens import grid_to_seq, seq_to_grid
 
 
 def test_row_major_placement():
     # 4 tokens on a 2x2 grid: token 3 lands at (h=1, w=1)
     tokens = Tensor(np.arange(8, dtype=float).reshape(4, 2))
-    grid = seq_to_grid(TokenSequence(tokens, 2, 2))
-    assert np.array_equal(grid.grid.data[:, 1, 1], tokens.data[3])
-    assert grid.grid.shape == (2, 2, 2)
+    grid = seq_to_grid(tokens, 2, 2)
+    assert np.array_equal(grid.data[:, 1, 1], tokens.data[3])
+    assert grid.shape == (2, 2, 2)
 
 
 def test_fourteen_square_with_class():
     rng = np.random.default_rng(0)
     tokens = Tensor(rng.standard_normal((197, 6)))
-    seq = TokenSequence(tokens, 14, 14, has_class=True)
-    grid = seq_to_grid(seq)
-    assert grid.grid.shape == (6, 14, 14)
-    assert np.array_equal(grid.class_token.data, tokens.data[0])
+    grid = seq_to_grid(tokens[1:], 14, 14)
+    assert grid.shape == (6, 14, 14)
     back = grid_to_seq(grid)
-    assert np.array_equal(back.tokens.data, tokens.data)
+    assert np.array_equal(back.data, tokens.data[1:])
 
 
 @pytest.mark.parametrize("h,w,c", [(1, 1, 3), (2, 3, 4), (4, 4, 1), (3, 5, 8)])
 def test_round_trip_identity(h, w, c):
     rng = np.random.default_rng(h * 100 + w * 10 + c)
     tokens = Tensor(rng.standard_normal((h * w, c)))
-    seq = TokenSequence(tokens, h, w)
-    assert np.array_equal(grid_to_seq(seq_to_grid(seq)).tokens.data, tokens.data)
+    assert np.array_equal(grid_to_seq(seq_to_grid(tokens, h, w)).data, tokens.data)
 
 
 def test_grid_to_seq_indexing():
     rng = np.random.default_rng(1)
     g = Tensor(rng.standard_normal((8, 3, 3)))
-    seq = grid_to_seq(TokenGrid(g))
+    seq = grid_to_seq(g)
     # element (c, 2, 1) -> sequence row 2*3+1 = 7, column c
-    assert np.array_equal(seq.tokens.data[7], g.data[:, 2, 1])
+    assert np.array_equal(seq.data[7], g.data[:, 2, 1])
 
 
 def test_batched_round_trip():
     rng = np.random.default_rng(2)
     tokens = Tensor(rng.standard_normal((5, 10, 4)))
-    seq = TokenSequence(tokens, 2, 5, has_class=False)
-    grid = seq_to_grid(seq)
-    assert grid.grid.shape == (5, 4, 2, 5)
-    assert np.array_equal(grid_to_seq(grid).tokens.data, tokens.data)
-
-
-def test_batched_class_token_sidecar():
-    rng = np.random.default_rng(3)
-    tokens = Tensor(rng.standard_normal((2, 5, 3)))
-    grid = seq_to_grid(TokenSequence(tokens, 2, 2, has_class=True))
-    assert grid.class_token.shape == (2, 3)
-    assert np.array_equal(grid.class_token.data, tokens.data[:, 0, :])
-    back = grid_to_seq(grid)
-    assert back.has_class
-    assert np.array_equal(back.tokens.data, tokens.data)
+    grid = seq_to_grid(tokens, 2, 5)
+    assert grid.shape == (5, 4, 2, 5)
+    assert np.array_equal(grid_to_seq(grid).data, tokens.data)
 
 
 def test_token_count_mismatch_rejected():
     tokens = Tensor(np.zeros((5, 2)))
     with pytest.raises(ShapeError, match="patch tokens"):
-        seq_to_grid(TokenSequence(tokens, 2, 2))
+        seq_to_grid(tokens, 2, 2)
 
 
 def test_gradients_flow_bit_exactly():
@@ -72,8 +57,7 @@ def test_gradients_flow_bit_exactly():
     w = Tensor(rng.standard_normal((6, 2, 3)))
 
     def f(t):
-        grid = seq_to_grid(TokenSequence(t, 2, 3))
-        return ad.sum_all(ad.mul(grid.grid, w))
+        return ad.sum_all(ad.mul(seq_to_grid(t, 2, 3), w))
 
     x = Tensor(rng.standard_normal((6, 6)), requires_grad=True)
     rep = finite_difference_check(f, x, op_name="seq_to_grid")

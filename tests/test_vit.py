@@ -3,7 +3,6 @@ import pytest
 
 from histadapter.autodiff import Tensor
 from histadapter.optim import Adam
-from histadapter.tokens import TokenSequence
 from histadapter.vit import PRESETS, ViTBlock, ViTConfig, build_model
 
 
@@ -30,17 +29,15 @@ class TestAttention:
     def test_single_token_attention_is_identity_weight(self):
         cfg = ViTConfig(depth=1, width=8, heads=2, patch=8, image=8)
         block = ViTBlock(cfg, np.random.default_rng(0))
-        seq = TokenSequence(Tensor(np.random.default_rng(1).standard_normal((1, 8))), 1, 1)
-        att = block.attention_weights(seq)
+        att = block.attention_weights(Tensor(np.random.default_rng(1).standard_normal((1, 8))))
         assert att.shape == (1, 2, 1, 1)
         assert np.allclose(att, 1.0, atol=1e-15)
 
     def test_rows_sum_to_one(self):
         cfg = PRESETS["toy"]
         block = ViTBlock(cfg, np.random.default_rng(2))
-        seq = TokenSequence(
-            Tensor(np.random.default_rng(3).standard_normal((2, 17, 64))), 4, 4, True)
-        att = block.attention_weights(seq)
+        att = block.attention_weights(
+            Tensor(np.random.default_rng(3).standard_normal((2, 17, 64))))
         assert np.all(np.abs(att.sum(axis=-1) - 1.0) <= 1e-10)
 
     def test_uniform_attention_averages_values(self):
@@ -54,7 +51,7 @@ class TestAttention:
             lin.weight.data = np.eye(6)
             lin.bias.data[:] = 0.0
         x = np.random.default_rng(5).standard_normal((9, 6))
-        out = block.mhsa(TokenSequence(Tensor(x), 3, 3)).tokens.data
+        out = block.mhsa(Tensor(x)).data
         assert np.allclose(out, np.tile(x.mean(axis=0), (9, 1)), atol=1e-12)
 
 
@@ -63,8 +60,7 @@ class TestForward:
         images = np.random.default_rng(6).uniform(size=(3, 3, 32, 32))
         logits = toy_model.forward(images)
         assert logits.shape == (3, 2)
-        seq = toy_model.embed(Tensor(images))
-        assert seq.tokens.shape == (3, 17, 64)
+        assert toy_model.embed(Tensor(images)).shape == (3, 17, 64)
 
     def test_deterministic_given_seed(self):
         images = np.random.default_rng(7).uniform(size=(2, 3, 32, 32))
