@@ -15,6 +15,8 @@ Conventions:
 
 from __future__ import annotations
 
+import contextlib
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -49,6 +51,7 @@ __all__ = [
     "take_rows",
     "broadcast_to",
     "graph_op",
+    "no_grad",
     "accumulate_grad",
     "finite_difference_check",
 ]
@@ -161,15 +164,38 @@ def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
+class _GradMode(threading.local):
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no graph inside the block: every op result is a plain constant.
+
+    Nests, and restores the previous mode on exit, also when the block
+    raises. The mode is per thread.
+    """
+    previous = _grad_mode.enabled
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = previous
+
+
 def graph_op(data: np.ndarray, parents: Sequence[Tensor], backward: Callable) -> Tensor:
     """Wrap an op result into the graph.
 
     ``backward`` receives the incoming gradient array and is responsible
     for calling :func:`accumulate_grad` on each parent. Extension point
-    for ops defined outside this module.
+    for ops defined outside this module. Under :func:`no_grad` the result
+    has no parents and does not require grad.
     """
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _grad_mode.enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward

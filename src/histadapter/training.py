@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from histadapter.autodiff import Tensor
+from histadapter.autodiff import Tensor, no_grad
 from histadapter.checkpoint import assign_parameters, load_checkpoint, save_checkpoint
 from histadapter.config import RunConfig
 from histadapter.losses import (
@@ -102,14 +102,18 @@ def train_run(cfg: RunConfig, out_dir=None) -> TrainResult:
     lines = [TRAIN_LOG_HEADER]
     lines += [f"{e},{b:.10g},{t:.10g},{tot:.10g}" for e, b, t, tot in rows]
     log_path.write_text("\n".join(lines) + "\n")
+    checkpoint_path = out / "model.ckpt"
+    config_path = out / "config.txt"
     for epoch, *means in rows:
         if not np.all(np.isfinite(means)):
+            # an earlier run's files left beside this log would be taken for its output
+            checkpoint_path.unlink(missing_ok=True)
+            config_path.unlink(missing_ok=True)
             raise ValueError(f"training diverged: non-finite loss in epoch {epoch}; "
                              f"see {log_path}, no checkpoint written")
 
-    checkpoint_path = out / "model.ckpt"
     save_checkpoint(model.parameters(), checkpoint_path)
-    (out / "config.txt").write_text(cfg.to_text())
+    config_path.write_text(cfg.to_text())
     last = rows[-1]
     return TrainResult(checkpoint_path, log_path,
                        {"bce": float(last[1]), "tsr": float(last[2]),
@@ -118,11 +122,21 @@ def train_run(cfg: RunConfig, out_dir=None) -> TrainResult:
 
 def score_batch(model: VisionTransformer, images: np.ndarray,
                 batch_size: int = 64) -> np.ndarray:
-    """Attack-probability scores, computed without style capture."""
+    """Attack-probability scores, computed without a graph or style capture.
+
+    Style capture is switched off for the call, which also clears any kept
+    style map, and the caller's setting is restored afterwards.
+    """
+    capturing = model.capturing_style
+    model.set_style_capture(False)
     scores = []
-    for start in range(0, images.shape[0], batch_size):
-        logits = model.forward(Tensor(images[start:start + batch_size]))
-        scores.append(attack_probabilities(logits))
+    try:
+        with no_grad():
+            for start in range(0, images.shape[0], batch_size):
+                logits = model.forward(Tensor(images[start:start + batch_size]))
+                scores.append(attack_probabilities(logits))
+    finally:
+        model.set_style_capture(capturing)
     return np.concatenate(scores)
 
 
@@ -133,7 +147,6 @@ def evaluate_run(cfg: RunConfig, checkpoint_path) -> MetricReport:
     protocol = build_protocol(cfg)
     split = split_protocol(protocol, cfg.train_per_class, cfg.test_per_class, side)
     model = _build_adapted_model(cfg)
-    model.set_style_capture(False)
     assign_parameters(model.parameters(), load_checkpoint(checkpoint_path),
                       path=str(checkpoint_path))
 

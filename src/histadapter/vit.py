@@ -114,13 +114,21 @@ class ViTBlock:
         _, att = self._attention(x)
         return att.data
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, class_only: bool = False) -> Tensor:
+        """(B, N, d) tokens to (B, N, d), or to the (B, 1, d) class row if ``class_only``.
+
+        Attention always runs over every row. With ``class_only`` the MLP
+        sees the class row alone and both adapters are skipped: they pass
+        the class row through unchanged.
+        """
         t = ad.add(x, self.mhsa(ad.layernorm(x, self.ln1_gain, self.ln1_shift)))
-        if self.msa_adapter is not None:
+        if class_only:
+            t = t[:, :1, :]
+        elif self.msa_adapter is not None:
             t = self.msa_adapter.apply(t)
         y = self.fc2(ad.gelu(self.fc1(ad.layernorm(t, self.ln2_gain, self.ln2_shift))))
         out = ad.add(t, y)
-        if self.mlp_adapter is not None:
+        if self.mlp_adapter is not None and not class_only:
             out = self.mlp_adapter.apply(out)
         return out
 
@@ -186,8 +194,11 @@ class VisionTransformer:
         if not isinstance(images, Tensor):
             images = Tensor(images)
         x = self.embed(images)
-        for block in self.blocks:
+        for block in self.blocks[:-1]:
             x = block.forward(x)
+        # the head reads only the class row; the last block's patch rows
+        # feed nothing but the style map
+        x = self.blocks[-1].forward(x, class_only=not self.capturing_style)
         x = ad.layernorm(x, self.final_gain, self.final_shift)
         return self.head(x[:, 0, :])
 
@@ -205,6 +216,12 @@ class VisionTransformer:
             insert_into_block(block, a_msa, a_mlp)
         set_trainable(self.backbone_parameters(), False)
         set_trainable(self.head.parameters(), True)
+
+    @property
+    def capturing_style(self) -> bool:
+        """Whether the last block's MLP-side adapter keeps its style map."""
+        last = self.blocks[-1].mlp_adapter
+        return last is not None and last.capture_style
 
     def set_style_capture(self, enabled: bool) -> None:
         """Toggle style-map capture on the last block's MLP-side adapter."""

@@ -197,6 +197,32 @@ class TestFiniteDifferenceCheck:
             finite_difference_check(lambda t: ad.mul(t, t), x)
 
 
+class TestNoGrad:
+    def test_ops_on_trainable_inputs_build_no_graph(self):
+        rng = np.random.default_rng(10)
+        w = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+        x = Tensor(rng.standard_normal((2, 3)))
+        with ad.no_grad():
+            outs = [ad.matmul(x, w), ad.gelu(w), ad.sum_all(ad.add(w, w)), w[:1]]
+        for out in outs:
+            assert not out.requires_grad
+            assert out._parents == () and out._backward is None
+        assert np.array_equal(outs[0].data, ad.matmul(x, w).data)
+
+    def test_mode_restored_after_nesting_and_exception(self):
+        w = Tensor(np.ones(3), requires_grad=True)
+        with ad.no_grad():
+            with ad.no_grad():
+                pass
+            assert not ad.scale(w, 2.0).requires_grad
+        assert ad.scale(w, 2.0).requires_grad
+        with pytest.raises(RuntimeError, match="inside"):
+            with ad.no_grad():
+                raise RuntimeError("inside")
+        out = ad.scale(w, 2.0)
+        assert out.requires_grad and out._parents == (w,)
+
+
 OPS_FOR_SWEEP = [
     ("add", lambda rng: _binary_case(rng, ad.add)),
     ("sub", lambda rng: _binary_case(rng, ad.sub)),

@@ -2,13 +2,19 @@ import csv
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from histadapter import losses, training
+from histadapter.adapter import FUSIONS, VARIANTS
+from histadapter.autodiff import ShapeError
 from histadapter.cli import main
 from histadapter.config import RunConfig, load_config, parse_config_text
 from histadapter.optim import Adam
 from histadapter.training import evaluate_run, train_run
+from histadapter.vit import PRESETS, build_model
 
 
 SMALL = {
@@ -65,6 +71,35 @@ class TestConfig:
         values = parse_config_text(cfg.to_text())
         assert values["theta"] == "0.3"
         assert values["lambda"] == "0.25"
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_to_text_load_config_round_trip(self, data):
+        positive = st.floats(min_value=0, exclude_min=True, allow_infinity=False)
+        counts = st.integers(1, 10**6)
+        num_domains = data.draw(st.integers(1, 64))
+        cfg = RunConfig(
+            preset=data.draw(st.sampled_from(sorted(PRESETS))),
+            variant=data.draw(st.sampled_from(VARIANTS)),
+            fusion=data.draw(st.sampled_from(FUSIONS)),
+            adapter_dim=data.draw(counts),
+            theta=data.draw(st.floats(0, 1)),
+            tsr_lambda=data.draw(st.floats(min_value=0, allow_infinity=False)),
+            tsr_aggregation=data.draw(st.sampled_from(["domain", "pairwise"])),
+            lr=data.draw(positive),
+            epochs=data.draw(counts),
+            batch_size=data.draw(counts),
+            seed=data.draw(st.integers(0, 2**63)),
+            num_domains=num_domains,
+            held_out=data.draw(st.integers(0, num_domains - 1)),
+            few_shot_k=data.draw(st.integers(0, 10**6)),
+            train_per_class=data.draw(counts),
+            test_per_class=data.draw(counts),
+            val_per_class=data.draw(counts),
+            style_seed=data.draw(st.integers(0, 2**63)),
+            out=data.draw(st.text(alphabet="abcXYZ019_-./", max_size=20)),
+        ).validate()
+        assert load_config(None, parse_config_text(cfg.to_text())) == cfg
 
 
 @pytest.fixture(scope="module")
@@ -141,11 +176,44 @@ class TestTrainEval:
         assert [r["total"] for r in rows] == ["nan", "nan"]
         assert not (tmp_path / "model.ckpt").exists()
 
+    def test_diverged_run_removes_earlier_outputs(self, tmp_path):
+        train_run(load_config(None, {**SMALL, "out": str(tmp_path)}))
+        assert (tmp_path / "model.ckpt").exists() and (tmp_path / "config.txt").exists()
+        cfg = load_config(None, {**SMALL, "lr": "1e300", "out": str(tmp_path)})
+        with pytest.raises(ValueError, match="diverged"):
+            train_run(cfg)
+        assert not (tmp_path / "model.ckpt").exists()
+        assert not (tmp_path / "config.txt").exists()
+
     def test_loss_decreases_on_default_toy_config(self, tmp_path):
         cfg = load_config(None, {"out": str(tmp_path), "epochs": "10"})
         train_run(cfg)
         rows = list(csv.DictReader((tmp_path / "train_log.csv").open()))
         assert float(rows[9]["total"]) < float(rows[0]["total"])
+
+
+class TestScoreBatch:
+    def test_scores_without_graph_or_style_capture(self, monkeypatch):
+        model = build_model("toy", seed=0, variant="full")
+        images = np.random.default_rng(0).uniform(size=(5, 3, 32, 32))
+        reference = training.score_batch(model, images, batch_size=2)
+        seen = []
+        probabilities = training.attack_probabilities
+        monkeypatch.setattr(training, "attack_probabilities",
+                            lambda logits: seen.append(logits) or probabilities(logits))
+        model.set_style_capture(True)
+        scores = training.score_batch(model, images, batch_size=2)
+        assert np.array_equal(scores, reference)
+        assert len(seen) == 3 and not any(logits.requires_grad for logits in seen)
+        assert model.capturing_style
+        assert model.blocks[-1].mlp_adapter.last_style_map is None
+
+    def test_capture_restored_after_error(self):
+        model = build_model("toy", seed=0, variant="full")
+        model.set_style_capture(True)
+        with pytest.raises(ShapeError):
+            training.score_batch(model, np.zeros((2, 3, 16, 16)))
+        assert model.capturing_style
 
 
 class TestCliCommands:

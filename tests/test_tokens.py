@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from histadapter import autodiff as ad
 from histadapter.autodiff import ShapeError, Tensor, finite_difference_check
@@ -43,6 +45,16 @@ def test_batched_round_trip():
     tokens = Tensor(rng.standard_normal((5, 10, 4)))
     grid = seq_to_grid(tokens, 2, 5)
     assert grid.shape == (5, 4, 2, 5)
+    assert np.array_equal(grid_to_seq(grid).data, tokens.data)
+
+
+@settings(deadline=None)
+@given(b=st.integers(1, 4), h=st.integers(1, 7), w=st.integers(1, 7), c=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_round_trip_any_shape(b, h, w, c, seed):
+    tokens = Tensor(np.random.default_rng(seed).standard_normal((b, h * w, c)))
+    grid = seq_to_grid(tokens, h, w)
+    assert grid.shape == (b, c, h, w)
     assert np.array_equal(grid_to_seq(grid).data, tokens.data)
 
 

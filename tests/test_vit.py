@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from histadapter.adapter import FUSIONS, VARIANTS
 from histadapter.autodiff import Tensor
+from histadapter.losses import binary_cross_entropy_with_logits
 from histadapter.optim import Adam
 from histadapter.vit import PRESETS, ViTBlock, ViTConfig, build_model
 
@@ -132,3 +134,52 @@ class TestFreezeContract:
         moved = model.forward(images).data
         assert not np.array_equal(moved, before)
         assert np.array_equal(frozen_reference.forward(images).data, before)
+
+
+def perturbed_model(variant="full", fusion="sum", seed=11):
+    """An adapted toy model with every trainable tensor moved off its init."""
+    model = build_model("toy", seed=seed, variant=variant, fusion=fusion)
+    rng = np.random.default_rng(seed)
+    for t in model.trainable_parameters().values():
+        t.data = t.data + 0.05 * rng.standard_normal(t.shape)
+    return model
+
+
+class TestClassRowPath:
+    """Without style capture the last block runs its MLP on the class row only."""
+
+    @pytest.mark.parametrize("batch", [2, 16])
+    @pytest.mark.parametrize("fusion", FUSIONS)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_logits_equal_full_path(self, variant, fusion, batch):
+        model = perturbed_model(variant, fusion)
+        images = np.random.default_rng(batch).uniform(size=(batch, 3, 32, 32))
+        class_row = model.forward(images).data
+        model.set_style_capture(True)
+        full = model.forward(images).data
+        assert model.blocks[-1].mlp_adapter.last_style_map is not None
+        assert np.array_equal(class_row, full)
+
+    def test_bce_gradients_match_full_path(self):
+        images = np.random.default_rng(12).uniform(size=(6, 3, 32, 32))
+        labels = np.array([0, 1, 0, 1, 1, 0])
+        grads = {}
+        for capture in (False, True):
+            model = perturbed_model()
+            model.set_style_capture(capture)
+            binary_cross_entropy_with_logits(model.forward(images), labels).backward()
+            grads[capture] = {k: t.grad for k, t in model.trainable_parameters().items()}
+        last = f"block{PRESETS['toy'].depth - 1}."
+        for name, full in grads[True].items():
+            class_row = grads[False][name]
+            if name.startswith((last + "msa_adapter.", last + "mlp_adapter.")):
+                assert class_row is None, name
+                assert not np.any(full), name
+            elif name.startswith("head."):
+                assert np.array_equal(class_row, full), name
+            else:
+                # fc1's input gradient g @ W1^T has B rows here and 17 B rows on
+                # the full path; for few rows OpenBLAS may sum a product with a
+                # transposed operand in another order, so the gradients below
+                # the last block agree to rounding, not to the bit
+                assert np.max(np.abs(class_row - full)) <= 1e-12 * np.max(np.abs(full)), name

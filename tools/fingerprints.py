@@ -1,11 +1,13 @@
 """Byte fingerprints of training and gradcheck outputs, the identity check for refactors.
 
 Trains three epochs of ``configs/ablation.cfg`` for every variant x fusion
-pair, plus ``full``/``sum`` with pairwise TSR, and prints the sha256 of each
-run's ``model.ckpt`` and ``train_log.csv``. The last row is the sha256 of the
+pair, plus ``full``/``sum`` with pairwise TSR, plus three runs with TSR off
+(``lambda=0``, where the last block computes only the class row after
+attention), and prints the sha256 of each run's ``model.ckpt`` and
+``train_log.csv``. The last row is the sha256 of the
 CSV that ``histadapter gradcheck --out`` writes. A change that alters no
 float operation prints the same rows as its parent. Run from the repository
-root (about 40 s on one core):
+root (about 30 s on one core):
 
     PYTHONPATH=src python3 tools/fingerprints.py
 """
@@ -32,15 +34,16 @@ def sha256(path: Path) -> str:
 
 
 def main() -> None:
-    runs = [(v, f, "domain") for v in VARIANTS for f in FUSIONS]
-    runs.append(("full", "sum", "pairwise"))
+    runs = [(f"{v}/{f}/domain", {"variant": v, "fusion": f})
+            for v in VARIANTS for f in FUSIONS]
+    runs.append(("full/sum/pairwise", {"tsr_aggregation": "pairwise"}))
+    runs += [(f"{v}/{f}/lambda=0", {"variant": v, "fusion": f, "lambda": 0})
+             for v, f in (("full", "sum"), ("vanilla_linear", "sum"), ("full", "concat"))]
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        for variant, fusion, aggregation in runs:
-            name = f"{variant}/{fusion}/{aggregation}"
+        for name, overrides in runs:
             cfg = load_config(CONFIG, {
-                "variant": variant, "fusion": fusion, "tsr_aggregation": aggregation,
-                "epochs": EPOCHS, "out": str(root / name.replace("/", "-")),
+                **overrides, "epochs": EPOCHS, "out": str(root / name.replace("/", "-")),
             })
             result = train_run(cfg)
             print(f"{name} model.ckpt {sha256(result.checkpoint_path)} "
