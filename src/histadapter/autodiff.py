@@ -8,8 +8,9 @@ difference gradient checker that every backward rule is validated against.
 Conventions:
   * convolution is cross-correlation (no kernel flip),
   * gradients accumulate across uses; callers zero them between steps,
-  * binary ops broadcast only scalar-vs-tensor; all other shapes must
-    match exactly,
+  * add, sub and mul broadcast one operand into the other's shape by
+    numpy's rules; a pair that would broadcast to a third shape is
+    rejected,
   * tests run in 64-bit floats so finite differences have headroom.
 """
 
@@ -49,7 +50,6 @@ __all__ = [
     "transpose",
     "concat",
     "take_rows",
-    "broadcast_to",
     "graph_op",
     "no_grad",
     "accumulate_grad",
@@ -209,19 +209,36 @@ def _lift(x) -> Tensor:
 
 
 def _check_elementwise(a: Tensor, b: Tensor, name: str) -> None:
-    if a.shape == b.shape or a.size == 1 or b.size == 1:
+    if a.shape == b.shape:
         return
-    raise ShapeError(
-        f"{name}: shapes {a.shape} and {b.shape} are incompatible; "
-        "only identical shapes or scalar-vs-tensor are supported"
-    )
+    try:
+        shape = np.broadcast_shapes(a.shape, b.shape)
+    except ValueError:
+        shape = None
+    if shape not in (a.shape, b.shape):
+        raise ShapeError(
+            f"{name}: shapes {a.shape} and {b.shape} are incompatible; "
+            "one operand must broadcast to the other's shape"
+        )
 
 
-def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
-    # only the scalar-vs-tensor case ever needs reduction
-    if g.shape == shape:
-        return g
-    return np.sum(g).reshape(shape)
+def _accumulate_broadcast(t: Tensor, g: np.ndarray) -> None:
+    """Accumulate ``g`` into ``t``, summed over the axes ``t`` was broadcast along.
+
+    A frozen ``t`` gets no gradient, so no sum is built for it.
+    """
+    if not t.requires_grad:
+        return
+    if g.shape != t.shape and t.size == 1:
+        g = np.sum(g).reshape(t.shape)
+    elif g.shape != t.shape:
+        extra = g.ndim - t.ndim
+        if extra:
+            g = g.sum(axis=tuple(range(extra)))
+        expanded = tuple(i for i, n in enumerate(t.shape) if n == 1 and g.shape[i] != 1)
+        if expanded:
+            g = g.sum(axis=expanded, keepdims=True)
+    accumulate_grad(t, g)
 
 
 def add(a, b) -> Tensor:
@@ -229,8 +246,8 @@ def add(a, b) -> Tensor:
     _check_elementwise(a, b, "add")
 
     def backward(g):
-        accumulate_grad(a, _reduce_to(g, a.shape))
-        accumulate_grad(b, _reduce_to(g, b.shape))
+        _accumulate_broadcast(a, g)
+        _accumulate_broadcast(b, g)
 
     return graph_op(a.data + b.data, (a, b), backward)
 
@@ -240,8 +257,8 @@ def sub(a, b) -> Tensor:
     _check_elementwise(a, b, "sub")
 
     def backward(g):
-        accumulate_grad(a, _reduce_to(g, a.shape))
-        accumulate_grad(b, _reduce_to(-g, b.shape))
+        _accumulate_broadcast(a, g)
+        _accumulate_broadcast(b, -g)
 
     return graph_op(a.data - b.data, (a, b), backward)
 
@@ -252,8 +269,8 @@ def mul(a, b) -> Tensor:
     _check_elementwise(a, b, "mul")
 
     def backward(g):
-        accumulate_grad(a, _reduce_to(g * b.data, a.shape))
-        accumulate_grad(b, _reduce_to(g * a.data, b.shape))
+        _accumulate_broadcast(a, g * b.data)
+        _accumulate_broadcast(b, g * a.data)
 
     return graph_op(a.data * b.data, (a, b), backward)
 
@@ -620,23 +637,6 @@ def take_rows(x: Tensor, indices) -> Tensor:
         accumulate_grad(x, gx)
 
     return graph_op(x.data[indices], (x,), backward)
-
-
-def broadcast_to(x: Tensor, shape) -> Tensor:
-    """Explicitly broadcast to ``shape`` (gradient sums over expanded axes)."""
-    x = _lift(x)
-    shape = tuple(shape)
-
-    def backward(g):
-        extra = g.ndim - x.ndim
-        if extra:
-            g = g.sum(axis=tuple(range(extra)))
-        expanded = tuple(i for i in range(x.ndim) if x.shape[i] == 1 and g.shape[i] != 1)
-        if expanded:
-            g = g.sum(axis=expanded, keepdims=True)
-        accumulate_grad(x, g)
-
-    return graph_op(np.broadcast_to(x.data, shape), (x,), backward)
 
 
 def _basic_slice(x: Tensor, idx) -> Tensor:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -114,11 +115,11 @@ def cmd_ablate(args) -> int:
                 for fusion in fusions:
                     cell_hters = []
                     for seed in seeds:
-                        cfg = load_config(args.config, {
-                            "variant": variant, "theta": theta, "lambda": lam,
-                            "fusion": fusion, "seed": seed,
-                            "out": str(out_dir / f"{variant}-t{theta}-l{lam}-{fusion}-s{seed}"),
-                        })
+                        cfg = replace(
+                            base, variant=variant, theta=theta, tsr_lambda=lam,
+                            fusion=fusion, seed=seed,
+                            out=str(out_dir / f"{variant}-t{theta}-l{lam}-{fusion}-s{seed}"),
+                        ).validate()
                         result = train_run(cfg)
                         report = evaluate_run(cfg, result.checkpoint_path)
                         rows.append(report.csv_row(cfg.protocol_name, seed, variant,

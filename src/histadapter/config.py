@@ -68,6 +68,9 @@ class RunConfig:
             )
         if self.few_shot_k < 0:
             raise ValueError(f"few_shot_k must be >= 0, got {self.few_shot_k}")
+        first_line = f"out={self.out}".splitlines()[0]
+        if parse_config_text(first_line).get("out") != self.out:
+            raise ValueError(f"out {self.out!r} would not read back from config.txt")
         return self
 
     @property

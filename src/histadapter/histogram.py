@@ -20,7 +20,6 @@ import numpy as np
 
 from histadapter import autodiff as ad
 from histadapter.autodiff import Tensor
-from histadapter.nn import channel_map
 
 __all__ = ["SoftHistogram"]
 
@@ -45,10 +44,11 @@ class SoftHistogram:
     def forward_tensor(self, z: Tensor) -> Tensor:
         """(C, H, W) or (B, C, H, W) map to per-channel soft-bin responses, same shape."""
         zp = ad.pad2d(z, 1)
+        per_channel = (self.channels, 1, 1)
         # stage 1: weight SHIFT_WEIGHT (frozen), learnable bias -mu
-        centered = ad.sub(zp, channel_map(self.mu, zp))
+        centered = ad.sub(zp, ad.reshape(self.mu, per_channel))
         # stage 2: learnable weight gamma, bias SCALE_BIAS (frozen)
-        u = ad.mul(channel_map(self.gamma, zp), centered)
+        u = ad.mul(ad.reshape(self.gamma, per_channel), centered)
         e = ad.exp(ad.neg(ad.mul(u, u)))
         return ad.scale(ad.window_sum3x3(e), 1.0 / (self.WINDOW * self.WINDOW))
 

@@ -7,7 +7,7 @@ import numpy as np
 from histadapter import autodiff as ad
 from histadapter.autodiff import ShapeError, Tensor
 
-__all__ = ["Linear", "channel_map", "prefixed", "set_trainable"]
+__all__ = ["Linear", "prefixed", "set_trainable"]
 
 
 class Linear:
@@ -46,24 +46,13 @@ class Linear:
         lead = x.shape[:-1]
         flat = ad.reshape(x, (-1 if lead else 1, self.in_dim)) if x.ndim != 2 else x
         out = ad.matmul(flat, self.weight)
-        out = ad.add(out, ad.broadcast_to(ad.reshape(self.bias, (1, self.out_dim)), out.shape))
+        out = ad.add(out, self.bias)
         if x.ndim != 2:
             out = ad.reshape(out, lead + (self.out_dim,))
         return out
 
     def parameters(self) -> dict:
         return {"weight": self.weight, "bias": self.bias}
-
-
-def channel_map(v: Tensor, like: Tensor) -> Tensor:
-    """Broadcast a per-channel vector over the spatial axes of a grid tensor.
-
-    ``v`` has shape (C,); ``like`` is (C, H, W) or (B, C, H, W).
-    """
-    c = v.shape[0]
-    if like.shape[-3] != c:
-        raise ShapeError(f"channel vector ({c},) does not match grid {like.shape}")
-    return ad.broadcast_to(ad.reshape(v, (c, 1, 1)), like.shape)
 
 
 def prefixed(prefix: str, params: dict) -> dict:

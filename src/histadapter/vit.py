@@ -82,6 +82,8 @@ class ViTBlock:
 
     def _attention(self, x: Tensor):
         """Multi-head attention on (B, N, d) tokens; returns (context, weights)."""
+        if x.ndim != 3 or x.shape[-1] != self.cfg.width:
+            raise ShapeError(f"block expects (B, N, {self.cfg.width}) tokens, got {x.shape}")
         b, n, d = x.shape
         heads = self.cfg.heads
         dh = d // heads
@@ -97,22 +99,10 @@ class ViTBlock:
 
     def mhsa(self, x: Tensor) -> Tensor:
         """Self-attention sublayer (projection included, no residual)."""
-        if x.shape[-1] != self.cfg.width:
-            raise ShapeError(f"block width {self.cfg.width}, got tokens {x.shape}")
-        squeeze = x.ndim == 2
-        if squeeze:
-            x = ad.reshape(x, (1,) + x.shape)
-        ctx, _ = self._attention(x)
-        out = self.proj(ctx)
-        if squeeze:
-            out = ad.reshape(out, out.shape[1:])
-        return out
+        return self.proj(self._attention(x)[0])
 
     def attention_weights(self, x: Tensor) -> np.ndarray:
-        if x.ndim == 2:
-            x = ad.reshape(x, (1,) + x.shape)
-        _, att = self._attention(x)
-        return att.data
+        return self._attention(x)[1].data
 
     def forward(self, x: Tensor, class_only: bool = False) -> Tensor:
         """(B, N, d) tokens to (B, N, d), or to the (B, 1, d) class row if ``class_only``.
@@ -181,13 +171,9 @@ class VisionTransformer:
         cfg = self.cfg
         b = images.shape[0]
         tokens = self.patch_embed(self.patchify(images))
-        cls = ad.broadcast_to(ad.reshape(self.class_token, (1, 1, cfg.width)),
-                              (b, 1, cfg.width))
+        cls = ad.add(np.zeros((b, 1, cfg.width)), self.class_token)
         tokens = ad.concat([cls, tokens], axis=1)
-        pos = ad.broadcast_to(
-            ad.reshape(self.pos_embed, (1, cfg.token_count, cfg.width)), tokens.shape
-        )
-        return ad.add(tokens, pos)
+        return ad.add(tokens, self.pos_embed)
 
     def forward(self, images) -> Tensor:
         """Images to 2-class logits (index 1 is the attack class)."""

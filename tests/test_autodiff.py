@@ -53,6 +53,40 @@ class TestElementwise:
         assert x.grad is None
 
 
+BINARY_OPS = [(ad.add, np.add), (ad.sub, np.subtract), (ad.mul, np.multiply)]
+
+
+class TestBroadcast:
+    @pytest.mark.parametrize("op,np_op", BINARY_OPS, ids=["add", "sub", "mul"])
+    @pytest.mark.parametrize("big,small", [((4, 3), (3,)), ((2, 3, 4, 4), (3, 1, 1)),
+                                           ((2, 5, 3), (5, 3))])
+    @pytest.mark.parametrize("small_first", [False, True])
+    def test_matches_numpy_and_finite_differences(self, op, np_op, big, small, small_first):
+        rng = np.random.default_rng(11)
+        shapes = (small, big) if small_first else (big, small)
+        arrays = [rng.standard_normal(shape) for shape in shapes]
+        out = op(Tensor(arrays[0]), Tensor(arrays[1]))
+        assert out.shape == big
+        assert np.array_equal(out.data, np_op(arrays[0], arrays[1]))
+        head = weighted_head(rng, big)
+        for i in range(2):
+            operands = [Tensor(a) for a in arrays]
+
+            def f(t, i=i, operands=operands):
+                operands[i] = t
+                return head(op(*operands))
+
+            rep = finite_difference_check(f, operands[i])
+            assert rep.max_relative_error < 1e-6
+
+    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul])
+    @pytest.mark.parametrize("first,second", [((2, 1), (2,)), ((2,), (2, 1)),
+                                              ((3, 1), (1, 4)), ((1, 4), (3, 1))])
+    def test_result_in_neither_operand_shape_rejected(self, op, first, second):
+        with pytest.raises(ShapeError, match="shapes"):
+            op(Tensor(np.zeros(first)), Tensor(np.zeros(second)))
+
+
 class TestMatmul:
     def test_identity(self):
         rng = np.random.default_rng(1)

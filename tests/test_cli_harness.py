@@ -1,13 +1,14 @@
 import csv
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from histadapter import losses, training
+from histadapter import cli, losses, training
 from histadapter.adapter import FUSIONS, VARIANTS
 from histadapter.autodiff import ShapeError
 from histadapter.cli import main
@@ -100,6 +101,19 @@ class TestConfig:
             out=data.draw(st.text(alphabet="abcXYZ019_-./", max_size=20)),
         ).validate()
         assert load_config(None, parse_config_text(cfg.to_text())) == cfg
+
+    @given(st.text())
+    def test_out_rejected_unless_it_reads_back(self, out):
+        try:
+            cfg = RunConfig(out=out).validate()
+        except ValueError:
+            return
+        assert load_config(None, parse_config_text(cfg.to_text())).out == out
+
+    @pytest.mark.parametrize("out", ["runs/#1", " runs/a", "runs/a ", "runs/a\nb", "a\rb=c"])
+    def test_out_that_config_text_changes_rejected(self, out):
+        with pytest.raises(ValueError, match="out"):
+            RunConfig(out=out).validate()
 
 
 @pytest.fixture(scope="module")
@@ -269,6 +283,32 @@ class TestCliCommands:
         summary = (tmp_path / "ab" / "ablation_summary.csv").read_text().splitlines()
         assert summary[0] == "variant,theta,lambda,fusion,mean_hter"
         assert len(summary) == 2
+
+    def test_ablate_cells_keep_set_overrides(self, tmp_path, monkeypatch):
+        cells = []
+
+        def fake_train(cfg):
+            cells.append(cfg)
+            return training.TrainResult(tmp_path / "model.ckpt", tmp_path / "log.csv", {})
+
+        class Report:
+            hter = 0.5
+
+            def csv_row(self, *values):
+                return ",".join(map(str, values))
+
+        monkeypatch.setattr(cli, "train_run", fake_train)
+        monkeypatch.setattr(cli, "evaluate_run", lambda cfg, path: Report())
+        config = tmp_path / "run.cfg"
+        config.write_text("epochs=40\nlr=0.002\ntheta=0.3\n")
+        assert main(["ablate", "--config", str(config), "--out", str(tmp_path / "ab"),
+                     "--set", "epochs=1", "--set", "lr=0.5", "--set", "batch_size=7",
+                     "--variants", "full,no_hist", "--thetas", "0.9", "--lambdas", "0",
+                     "--seeds", "3"]) == 0
+        assert [(c.variant, c.theta, c.tsr_lambda, c.seed, c.epochs, c.lr, c.batch_size)
+                for c in cells] == [("full", 0.9, 0.0, 3, 1, 0.5, 7),
+                                    ("no_hist", 0.9, 0.0, 3, 1, 0.5, 7)]
+        assert all(Path(c.out).parent == tmp_path / "ab" for c in cells)
 
     def test_module_entry_point(self):
         proc = subprocess.run(

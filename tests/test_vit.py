@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from histadapter.adapter import FUSIONS, VARIANTS
-from histadapter.autodiff import Tensor
+from histadapter.autodiff import ShapeError, Tensor
 from histadapter.losses import binary_cross_entropy_with_logits
 from histadapter.optim import Adam
 from histadapter.vit import PRESETS, ViTBlock, ViTConfig, build_model
@@ -31,7 +31,7 @@ class TestAttention:
     def test_single_token_attention_is_identity_weight(self):
         cfg = ViTConfig(depth=1, width=8, heads=2, patch=8, image=8)
         block = ViTBlock(cfg, np.random.default_rng(0))
-        att = block.attention_weights(Tensor(np.random.default_rng(1).standard_normal((1, 8))))
+        att = block.attention_weights(Tensor(np.random.default_rng(1).standard_normal((1, 1, 8))))
         assert att.shape == (1, 2, 1, 1)
         assert np.allclose(att, 1.0, atol=1e-15)
 
@@ -52,9 +52,19 @@ class TestAttention:
         for lin in (block.wv, block.proj):
             lin.weight.data = np.eye(6)
             lin.bias.data[:] = 0.0
-        x = np.random.default_rng(5).standard_normal((9, 6))
+        x = np.random.default_rng(5).standard_normal((1, 9, 6))
         out = block.mhsa(Tensor(x)).data
-        assert np.allclose(out, np.tile(x.mean(axis=0), (9, 1)), atol=1e-12)
+        assert np.allclose(out, np.tile(x.mean(axis=1, keepdims=True), (1, 9, 1)), atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(8,), (3, 8), (1, 3, 6), (1, 1, 3, 8)])
+    def test_tokens_not_batch_rows_width_rejected(self, shape):
+        block = ViTBlock(ViTConfig(depth=1, width=8, heads=2, patch=8, image=8),
+                         np.random.default_rng(0))
+        x = Tensor(np.zeros(shape))
+        with pytest.raises(ShapeError, match="tokens"):
+            block.mhsa(x)
+        with pytest.raises(ShapeError, match="tokens"):
+            block.attention_weights(x)
 
 
 class TestForward:
