@@ -76,9 +76,17 @@ class HistAdapter:
         self.dim_up = Linear(adapter_dim, model_dim, init="zeros")
         self.fuse = Linear(2 * model_dim, model_dim, init="identity_top") \
             if fusion == "concat" else None
-        # set to True to keep the post-conv token map around for style losses
-        self.capture_style = False
-        self.last_style_map: Tensor | None = None
+
+    def _bottleneck(self, patches: Tensor) -> Tensor:
+        h = self.dim_down(patches)
+        return ad.gelu(h) if self.variant in _USES_GELU else h
+
+    def token_map(self, patches: Tensor) -> Tensor:
+        """(..., N, model_dim) patch rows, N square, to the (..., adapter_dim, side, side)
+        token map after the conv stage, the input of the histogram."""
+        side = math.isqrt(patches.shape[-2])
+        grid = seq_to_grid(self._bottleneck(patches), side, side)
+        return grid if self.cdc is None else self.cdc.forward_tensor(grid)
 
     def apply(self, tokens: Tensor) -> Tensor:
         """(..., 1 + N, model_dim) tokens, class token at row 0, N a square number."""
@@ -88,21 +96,13 @@ class HistAdapter:
             )
         cls_rows, patches = tokens[..., :1, :], tokens[..., 1:, :]
 
-        h = self.dim_down(patches)
-        if self.variant in _USES_GELU:
-            h = ad.gelu(h)
-
-        if self.cdc is not None or self.capture_style:
-            side = math.isqrt(patches.shape[-2])
-            grid = seq_to_grid(h, side, side)
-            if self.cdc is not None:
-                grid = self.cdc.forward_tensor(grid)
-            if self.capture_style:
-                self.last_style_map = grid
+        if self.cdc is None:
+            h = self._bottleneck(patches)
+        else:
+            grid = self.token_map(patches)
             if self.hist is not None:
                 grid = self.hist.forward_tensor(grid)
-            if self.cdc is not None:
-                h = grid_to_seq(grid)
+            h = grid_to_seq(grid)
 
         branch = self.dim_up(h)
         if self.fuse is None:

@@ -52,6 +52,7 @@ __all__ = [
     "take_rows",
     "graph_op",
     "no_grad",
+    "grad_enabled",
     "accumulate_grad",
     "finite_difference_check",
 ]
@@ -100,28 +101,14 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def backward(self, seed=None) -> None:
-        """Run reverse-mode accumulation from this tensor.
-
-        Without an explicit ``seed`` the tensor must be scalar (the usual
-        loss case); the seed is then 1.
-        """
-        if seed is None:
-            if self.data.size != 1:
-                raise ShapeError(
-                    f"backward() without a seed needs a scalar output, got shape {self.shape}"
-                )
-            seed = np.ones_like(self.data)
-        else:
-            seed = np.asarray(seed, dtype=self.data.dtype)
-            if seed.shape != self.data.shape:
-                raise ShapeError(
-                    f"seed shape {seed.shape} does not match output shape {self.shape}"
-                )
+    def backward(self) -> None:
+        """Run reverse-mode accumulation from this scalar tensor (a loss), seeded with 1."""
+        if self.data.size != 1:
+            raise ShapeError(f"backward() needs a scalar output, got shape {self.shape}")
         if not self.requires_grad:
             return
         order = _toposort(self)
-        accumulate_grad(self, seed)
+        accumulate_grad(self, np.ones_like(self.data))
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -184,6 +171,11 @@ def no_grad():
         yield
     finally:
         _grad_mode.enabled = previous
+
+
+def grad_enabled() -> bool:
+    """Whether ops build a graph here: False inside :func:`no_grad`."""
+    return _grad_mode.enabled
 
 
 def graph_op(data: np.ndarray, parents: Sequence[Tensor], backward: Callable) -> Tensor:

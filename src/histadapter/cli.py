@@ -1,8 +1,9 @@
 """Command-line entry points: train, eval, gradcheck, ablate, params, synth-dump.
 
-Every command takes ``--config PATH`` (flat key=value file), ``--seed N``
-and ``--out DIR``; further ``--set key=value`` pairs override individual
-config fields. Commands are deterministic given (seed, config).
+``train``, ``eval`` and ``ablate`` take ``--config PATH`` (flat key=value
+file), ``--seed N``, ``--out DIR`` and ``--set key=value`` overrides; the
+other commands take only the flags they read, and reject the rest.
+Commands are deterministic given (seed, config).
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from histadapter.vit import PRESETS
 __all__ = ["main"]
 
 
-def _common_flags(parser):
+def _config_flags(parser):
+    """The flags :func:`_config_from` reads."""
     parser.add_argument("--config", type=Path, default=None,
                         help="flat key=value config file")
     parser.add_argument("--seed", type=int, default=None)
@@ -77,8 +79,7 @@ def cmd_eval(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     start = time.time()
-    reports = run_gradient_checks(instances_per_op=args.instances,
-                                  seed=args.seed if args.seed is not None else 0)
+    reports = run_gradient_checks(instances_per_op=args.instances, seed=args.seed)
     for report in reports:
         print(report)
     failures = [r for r in reports if not r.passed]
@@ -166,21 +167,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train adapters + head on source domains")
-    _common_flags(p)
+    _config_flags(p)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on the held-out domain")
-    _common_flags(p)
+    _config_flags(p)
     p.add_argument("--checkpoint", type=Path, required=True)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every op")
-    _common_flags(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", type=str, default=None, help="output directory")
     p.add_argument("--instances", type=int, default=5, help="random instances per op")
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("ablate", help="grid over variant x theta x lambda x fusion")
-    _common_flags(p)
+    _config_flags(p)
     p.add_argument("--variants", default="full,vanilla_linear")
     p.add_argument("--thetas", default="0.7")
     p.add_argument("--lambdas", default="0,0.1")
@@ -189,13 +191,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_ablate)
 
     p = sub.add_parser("params", help="parameter / MAC overhead accounting")
-    _common_flags(p)
+    p.add_argument("--out", type=str, default=None, help="output directory")
     p.add_argument("--preset", default="base", choices=sorted(PRESETS))
     p.add_argument("--adapter-dim", type=int, default=8)
     p.set_defaults(fn=cmd_params)
 
     p = sub.add_parser("synth-dump", help="write the synthetic dataset to disk")
-    _common_flags(p)
+    p.add_argument("--out", type=str, required=True, help="output directory")
     p.add_argument("--domains", type=int, default=4)
     p.add_argument("--per-class", type=int, default=16)
     p.add_argument("--side", type=int, default=32)
@@ -207,8 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "synth-dump" and args.out is None:
-        raise SystemExit("synth-dump needs --out DIR")
     return args.fn(args)
 
 

@@ -10,6 +10,9 @@ __all__ = ["Adam"]
 class Adam:
     """Updates the tensors it was given; anything else stays untouched.
 
+    A ``None`` gradient counts as zero, the true gradient of a parameter the
+    graph did not reach: its moments still decay and it keeps moving.
+
     Parameters are visited in insertion order of the dict, so runs are
     reproducible. Gradients are consumed as-is: call :meth:`zero_grad`
     between steps (accumulation across uses within a step is intended).
@@ -35,9 +38,7 @@ class Adam:
         correction1 = 1.0 - self.beta1 ** self.t
         correction2 = 1.0 - self.beta2 ** self.t
         for name, p in self.params.items():
-            if p.grad is None:
-                continue
-            g = p.grad
+            g = 0.0 if p.grad is None else p.grad
             m = self._m[name]
             v = self._v[name]
             m *= self.beta1

@@ -86,8 +86,8 @@ def train_run(cfg: RunConfig, out_dir=None) -> TrainResult:
             logits = model.forward(Tensor(images[idx]))
             bce = binary_cross_entropy_with_logits(logits, labels[idx])
             if cfg.tsr_lambda > 0:
-                style = model.blocks[-1].mlp_adapter.last_style_map
-                tsr = batch_tsr(style, labels[idx], domains[idx], cfg.tsr_aggregation)
+                tsr = batch_tsr(model.style_map, labels[idx], domains[idx],
+                                cfg.tsr_aggregation)
             else:
                 tsr = Tensor(np.zeros(()))
             loss = total_loss(bce, tsr, cfg.tsr_lambda)
@@ -122,21 +122,12 @@ def train_run(cfg: RunConfig, out_dir=None) -> TrainResult:
 
 def score_batch(model: VisionTransformer, images: np.ndarray,
                 batch_size: int = 64) -> np.ndarray:
-    """Attack-probability scores, computed without a graph or style capture.
-
-    Style capture is switched off for the call, which also clears any kept
-    style map, and the caller's setting is restored afterwards.
-    """
-    capturing = model.capturing_style
-    model.set_style_capture(False)
+    """Attack-probability scores, computed without a graph (and so without a style map)."""
     scores = []
-    try:
-        with no_grad():
-            for start in range(0, images.shape[0], batch_size):
-                logits = model.forward(Tensor(images[start:start + batch_size]))
-                scores.append(attack_probabilities(logits))
-    finally:
-        model.set_style_capture(capturing)
+    with no_grad():
+        for start in range(0, images.shape[0], batch_size):
+            logits = model.forward(Tensor(images[start:start + batch_size]))
+            scores.append(attack_probabilities(logits))
     return np.concatenate(scores)
 
 

@@ -104,23 +104,33 @@ class ViTBlock:
     def attention_weights(self, x: Tensor) -> np.ndarray:
         return self._attention(x)[1].data
 
-    def forward(self, x: Tensor, class_only: bool = False) -> Tensor:
-        """(B, N, d) tokens to (B, N, d), or to the (B, 1, d) class row if ``class_only``.
+    def _attend(self, x: Tensor) -> Tensor:
+        return ad.add(x, self.mhsa(ad.layernorm(x, self.ln1_gain, self.ln1_shift)))
 
-        Attention always runs over every row. With ``class_only`` the MLP
-        sees the class row alone and both adapters are skipped: they pass
-        the class row through unchanged.
-        """
-        t = ad.add(x, self.mhsa(ad.layernorm(x, self.ln1_gain, self.ln1_shift)))
-        if class_only:
-            t = t[:, :1, :]
-        elif self.msa_adapter is not None:
-            t = self.msa_adapter.apply(t)
+    def _mlp(self, t: Tensor) -> Tensor:
         y = self.fc2(ad.gelu(self.fc1(ad.layernorm(t, self.ln2_gain, self.ln2_shift))))
-        out = ad.add(t, y)
-        if self.mlp_adapter is not None and not class_only:
-            out = self.mlp_adapter.apply(out)
-        return out
+        return ad.add(t, y)
+
+    def forward(self, x: Tensor) -> Tensor:
+        """(B, N, d) tokens to (B, N, d)."""
+        t = self._attend(x)
+        if self.msa_adapter is not None:
+            t = self.msa_adapter.apply(t)
+        out = self._mlp(t)
+        return out if self.mlp_adapter is None else self.mlp_adapter.apply(out)
+
+    def class_row(self, x: Tensor, with_style: bool):
+        """(B, N, d) tokens to the (B, 1, d) class row, and the MLP-side adapter's
+        token map of the patch rows if ``with_style`` (else None).
+
+        Without it the MLP sees the class row alone, and the adapters, which
+        pass the class row through unchanged, are skipped.
+        """
+        t = self._attend(x)
+        if not with_style:
+            return self._mlp(t[:, :1, :]), None
+        out = self._mlp(self.msa_adapter.apply(t))
+        return out[:, :1, :], self.mlp_adapter.token_map(out[:, 1:, :])
 
     def backbone_parameters(self) -> dict:
         params = {
@@ -152,6 +162,8 @@ class VisionTransformer:
         self.final_gain = Tensor(np.ones(cfg.width), requires_grad=True)
         self.final_shift = Tensor(np.zeros(cfg.width), requires_grad=True)
         self.head = Linear(cfg.width, 2, rng)
+        self._capture_style = False
+        self.style_map: Tensor | None = None  # set by forward
 
     def patchify(self, images: Tensor) -> Tensor:
         """(B, 3, S, S) images -> (B, N, 3 * patch^2) rows, row-major patches."""
@@ -176,15 +188,19 @@ class VisionTransformer:
         return ad.add(tokens, self.pos_embed)
 
     def forward(self, images) -> Tensor:
-        """Images to 2-class logits (index 1 is the attack class)."""
+        """Images to 2-class logits (index 1 is the attack class).
+
+        Also sets :attr:`style_map`: the (B, adapter_dim, side, side) map token
+        style regularization reads, or None unless capture is on and this
+        pass builds a graph.
+        """
         if not isinstance(images, Tensor):
             images = Tensor(images)
         x = self.embed(images)
         for block in self.blocks[:-1]:
             x = block.forward(x)
-        # the head reads only the class row; the last block's patch rows
-        # feed nothing but the style map
-        x = self.blocks[-1].forward(x, class_only=not self.capturing_style)
+        x, self.style_map = self.blocks[-1].class_row(
+            x, self._capture_style and ad.grad_enabled())
         x = ad.layernorm(x, self.final_gain, self.final_shift)
         return self.head(x[:, 0, :])
 
@@ -203,19 +219,9 @@ class VisionTransformer:
         set_trainable(self.backbone_parameters(), False)
         set_trainable(self.head.parameters(), True)
 
-    @property
-    def capturing_style(self) -> bool:
-        """Whether the last block's MLP-side adapter keeps its style map."""
-        last = self.blocks[-1].mlp_adapter
-        return last is not None and last.capture_style
-
     def set_style_capture(self, enabled: bool) -> None:
-        """Toggle style-map capture on the last block's MLP-side adapter."""
-        last = self.blocks[-1].mlp_adapter
-        if last is not None:
-            last.capture_style = enabled
-            if not enabled:
-                last.last_style_map = None
+        """Whether forward passes that build a graph set :attr:`style_map` (adapted models)."""
+        self._capture_style = enabled and self.blocks[-1].mlp_adapter is not None
 
     def _walk(self, block_params) -> dict:
         """Parameters before the head, in checkpoint order, taking ``block_params(block)``."""

@@ -122,18 +122,14 @@ class TestStyleCapture:
     def test_capture_post_conv_map(self):
         rng = np.random.default_rng(13)
         adapter = HistAdapter(16, rng, adapter_dim=4)
-        adapter.capture_style = True
         seq = make_seq(rng, batch=2)
-        adapter.apply(seq)
-        assert adapter.last_style_map.shape == (2, 4, 3, 3)
+        assert adapter.token_map(seq[:, 1:, :]).shape == (2, 4, 3, 3)
 
     def test_vanilla_captures_bottleneck_grid(self):
         rng = np.random.default_rng(14)
         adapter = HistAdapter(16, rng, adapter_dim=4, variant="vanilla_linear")
-        adapter.capture_style = True
         seq = make_seq(rng, batch=2)
-        adapter.apply(seq)
-        assert adapter.last_style_map.shape == (2, 4, 3, 3)
+        assert adapter.token_map(seq[:, 1:, :]).shape == (2, 4, 3, 3)
 
 
 class TestEndToEndGradient:

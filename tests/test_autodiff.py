@@ -231,7 +231,27 @@ class TestFiniteDifferenceCheck:
             finite_difference_check(lambda t: ad.mul(t, t), x)
 
 
+class TestBackward:
+    def test_nonscalar_output_rejected(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        for out in (ad.scale(x, 2.0), Tensor(np.ones((1, 2)))):
+            with pytest.raises(ShapeError, match="scalar"):
+                out.backward()
+        assert x.grad is None
+
+    def test_scalar_output_seeded_with_one(self):
+        x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        ad.sum_all(ad.scale(x, 2.0)).backward()
+        assert np.array_equal(x.grad, [2.0, 2.0, 2.0])
+
+
 class TestNoGrad:
+    def test_grad_enabled_reports_the_mode(self):
+        assert ad.grad_enabled()
+        with ad.no_grad():
+            assert not ad.grad_enabled()
+        assert ad.grad_enabled()
+
     def test_ops_on_trainable_inputs_build_no_graph(self):
         rng = np.random.default_rng(10)
         w = Tensor(rng.standard_normal((3, 3)), requires_grad=True)

@@ -219,15 +219,17 @@ class TestScoreBatch:
         scores = training.score_batch(model, images, batch_size=2)
         assert np.array_equal(scores, reference)
         assert len(seen) == 3 and not any(logits.requires_grad for logits in seen)
-        assert model.capturing_style
-        assert model.blocks[-1].mlp_adapter.last_style_map is None
+        assert model.style_map is None
+        model.forward(images)
+        assert model.style_map is not None
 
     def test_capture_restored_after_error(self):
         model = build_model("toy", seed=0, variant="full")
         model.set_style_capture(True)
         with pytest.raises(ShapeError):
             training.score_batch(model, np.zeros((2, 3, 16, 16)))
-        assert model.capturing_style
+        model.forward(np.zeros((2, 3, 32, 32)))
+        assert model.style_map is not None
 
 
 class TestCliCommands:
@@ -309,6 +311,29 @@ class TestCliCommands:
                 for c in cells] == [("full", 0.9, 0.0, 3, 1, 0.5, 7),
                                     ("no_hist", 0.9, 0.0, 3, 1, 0.5, 7)]
         assert all(Path(c.out).parent == tmp_path / "ab" for c in cells)
+
+    @pytest.mark.parametrize("argv", [
+        ["params", "--preset", "toy", "--set", "bogus_key=1"],
+        ["params", "--preset", "toy", "--config", "run.cfg"],
+        ["params", "--preset", "toy", "--seed", "3"],
+        ["synth-dump", "--per-class", "1", "--side", "8", "--set", "domains=2"],
+        ["synth-dump", "--per-class", "1", "--side", "8", "--config", "run.cfg"],
+        ["synth-dump", "--per-class", "1", "--side", "8", "--seed", "3"],
+        ["gradcheck", "--instances", "1", "--set", "seed=1"],
+        ["gradcheck", "--instances", "1", "--config", "run.cfg"],
+    ])
+    def test_flags_a_command_does_not_read_rejected(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_synth_dump_needs_out(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth-dump", "--per-class", "1"])
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err
 
     def test_module_entry_point(self):
         proc = subprocess.run(

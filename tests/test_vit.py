@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from histadapter import autodiff as ad
 from histadapter.adapter import FUSIONS, VARIANTS
 from histadapter.autodiff import ShapeError, Tensor
-from histadapter.losses import binary_cross_entropy_with_logits
+from histadapter.losses import batch_tsr, binary_cross_entropy_with_logits, total_loss
 from histadapter.optim import Adam
 from histadapter.vit import PRESETS, ViTBlock, ViTConfig, build_model
 
@@ -167,7 +168,7 @@ class TestClassRowPath:
         class_row = model.forward(images).data
         model.set_style_capture(True)
         full = model.forward(images).data
-        assert model.blocks[-1].mlp_adapter.last_style_map is not None
+        assert model.style_map is not None
         assert np.array_equal(class_row, full)
 
     def test_bce_gradients_match_full_path(self):
@@ -182,9 +183,12 @@ class TestClassRowPath:
         last = f"block{PRESETS['toy'].depth - 1}."
         for name, full in grads[True].items():
             class_row = grads[False][name]
-            if name.startswith((last + "msa_adapter.", last + "mlp_adapter.")):
+            if name.startswith(last + "mlp_adapter."):
+                # only the style map reads it, and BCE does not
+                assert class_row is None and full is None, name
+            elif name.startswith(last + "msa_adapter."):
                 assert class_row is None, name
-                assert not np.any(full), name
+                assert full is not None and not np.any(full), name
             elif name.startswith("head."):
                 assert np.array_equal(class_row, full), name
             else:
@@ -193,3 +197,44 @@ class TestClassRowPath:
                 # transposed operand in another order, so the gradients below
                 # the last block agree to rounding, not to the bit
                 assert np.max(np.abs(class_row - full)) <= 1e-12 * np.max(np.abs(full)), name
+
+
+class TestStyleMap:
+    """The forward pass sets ``style_map`` when capture is on and a graph is built."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_shape_with_graph_and_none_without(self, variant):
+        model = perturbed_model(variant)
+        model.set_style_capture(True)
+        images = np.random.default_rng(3).uniform(size=(3, 3, 32, 32))
+        model.forward(images)
+        side = PRESETS["toy"].grid_side
+        assert model.style_map.shape == (3, 8, side, side)
+        assert model.style_map.requires_grad
+        with ad.no_grad():
+            model.forward(images)
+        assert model.style_map is None
+        model.set_style_capture(False)
+        model.forward(images)
+        assert model.style_map is None
+
+    def test_capture_on_unadapted_model_is_a_no_op(self, toy_model):
+        images = np.random.default_rng(4).uniform(size=(2, 3, 32, 32))
+        before = toy_model.forward(images).data
+        toy_model.set_style_capture(True)
+        assert np.array_equal(toy_model.forward(images).data, before)
+        assert toy_model.style_map is None
+
+    def test_tsr_backward_skips_the_dead_tail(self):
+        model = perturbed_model()
+        model.set_style_capture(True)
+        images = np.random.default_rng(5).uniform(size=(4, 3, 32, 32))
+        labels, domains = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+        bce = binary_cross_entropy_with_logits(model.forward(images), labels)
+        total_loss(bce, batch_tsr(model.style_map, labels, domains), 0.1).backward()
+        last = f"block{PRESETS['toy'].depth - 1}.mlp_adapter."
+        for name, t in model.trainable_parameters().items():
+            if name.startswith((last + "hist.", last + "dim_up.")):
+                assert t.grad is None, name
+            elif name.startswith((last + "dim_down.", last + "cdc.")):
+                assert np.any(t.grad), name
