@@ -5,6 +5,12 @@ arithmetic, matrix products, 2D convolution, the central-difference term,
 windowed sums for histogram pooling, activations, norms, and a finite
 difference gradient checker that every backward rule is validated against.
 
+The layers call three fused ops, each one graph node with a hand-written
+backward: :func:`linear`, :func:`cdc_conv` and :func:`soft_histogram`.
+Each runs the same float operations, in the same order, as the chain of
+primitives it replaces, so results and gradients equal the chain's bit
+for bit; the primitives stay as references.
+
 Conventions:
   * convolution is cross-correlation (no kernel flip),
   * gradients accumulate across uses; callers zero them between steps,
@@ -17,6 +23,7 @@ Conventions:
 from __future__ import annotations
 
 import contextlib
+import math
 import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -35,10 +42,13 @@ __all__ = [
     "scale",
     "neg",
     "matmul",
+    "linear",
     "conv2d",
     "central_difference_term",
+    "cdc_conv",
     "window_sum3x3",
     "pad2d",
+    "soft_histogram",
     "exp",
     "gelu",
     "softmax_lastdim",
@@ -214,23 +224,27 @@ def _check_elementwise(a: Tensor, b: Tensor, name: str) -> None:
         )
 
 
+def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum ``g`` over the axes an operand of ``shape`` was broadcast along."""
+    if g.shape != shape and math.prod(shape) == 1:
+        return np.sum(g).reshape(shape)
+    if g.shape != shape:
+        extra = g.ndim - len(shape)
+        if extra:
+            g = g.sum(axis=tuple(range(extra)))
+        expanded = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+        if expanded:
+            g = g.sum(axis=expanded, keepdims=True)
+    return g
+
+
 def _accumulate_broadcast(t: Tensor, g: np.ndarray) -> None:
     """Accumulate ``g`` into ``t``, summed over the axes ``t`` was broadcast along.
 
     A frozen ``t`` gets no gradient, so no sum is built for it.
     """
-    if not t.requires_grad:
-        return
-    if g.shape != t.shape and t.size == 1:
-        g = np.sum(g).reshape(t.shape)
-    elif g.shape != t.shape:
-        extra = g.ndim - t.ndim
-        if extra:
-            g = g.sum(axis=tuple(range(extra)))
-        expanded = tuple(i for i, n in enumerate(t.shape) if n == 1 and g.shape[i] != 1)
-        if expanded:
-            g = g.sum(axis=expanded, keepdims=True)
-    accumulate_grad(t, g)
+    if t.requires_grad:
+        accumulate_grad(t, _unbroadcast(g, t.shape))
 
 
 def add(a, b) -> Tensor:
@@ -310,6 +324,49 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return graph_op(a.data @ b.data, (a, b), backward)
 
 
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """Affine map on the last axis, ``x @ weight + bias``, as one node.
+
+    ``x`` is (..., in), ``weight`` (in, out), ``bias`` (out,). Leading axes
+    are flattened into the rows of one 2D product, so the result and every
+    gradient equal those of the reshape / :func:`matmul` / :func:`add` /
+    reshape chain bit for bit. Frozen operands get no gradient.
+    """
+    x, weight, bias = _lift(x), _lift(weight), _lift(bias)
+    if weight.ndim != 2 or bias.shape != weight.shape[1:]:
+        raise ShapeError(
+            f"linear needs a 2D weight and a bias of its output width, "
+            f"got {weight.shape} and {bias.shape}"
+        )
+    in_dim, out_dim = weight.shape
+    if x.ndim == 0 or x.shape[-1] != in_dim:
+        raise ShapeError(f"linear layer expects width {in_dim}, got input shape {x.shape}")
+    flat = x.data.reshape(-1 if x.ndim > 1 else 1, in_dim)
+    out = flat @ weight.data + bias.data
+
+    def backward(g):
+        g = g.reshape(flat.shape[0], out_dim)
+        _accumulate_broadcast(bias, g)
+        if x.requires_grad:
+            accumulate_grad(x, (g @ weight.data.T).reshape(x.shape))
+        if weight.requires_grad:
+            accumulate_grad(weight, flat.T @ g)
+
+    return graph_op(out.reshape(x.shape[:-1] + (out_dim,)), (x, weight, bias), backward)
+
+
+def _scatter_taps(taps: np.ndarray, padded_shape: tuple, stride: int) -> np.ndarray:
+    """Gradient of a padded (B, Cin, Hp, Wp) input from the per-tap gradients
+    (B, H', W', Cin, kh, kw) of the windows a conv read from it."""
+    gxp = np.zeros(padded_shape, dtype=taps.dtype)
+    _, h_out, w_out, _, kh, kw = taps.shape
+    for dh in range(kh):
+        for dw in range(kw):
+            gxp[:, :, dh:dh + stride * h_out:stride, dw:dw + stride * w_out:stride] += \
+                taps[:, :, :, :, dh, dw].transpose(0, 3, 1, 2)
+    return gxp
+
+
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
     """2D cross-correlation with zero padding.
@@ -362,13 +419,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
             accumulate_grad(bias, gb.sum(axis=(0, 2, 3)))
         if x.requires_grad:
             taps = np.tensordot(gb, kernel.data, axes=([1], [0]))
-            # taps: (B, H', W', Cin, kh, kw) scattered back over the strides
-            gxp = np.zeros_like(xp)
-            for dh in range(kh):
-                for dw in range(kw):
-                    gxp[:, :, dh:dh + stride * h_out:stride,
-                        dw:dw + stride * w_out:stride] += \
-                        taps[:, :, :, :, dh, dw].transpose(0, 3, 1, 2)
+            gxp = _scatter_taps(taps, xp.shape, stride)
             gx = gxp[:, :, padding:padding + h, padding:padding + w]
             accumulate_grad(x, gx[0] if squeeze else gx)
 
@@ -434,16 +485,78 @@ def central_difference_term(x: Tensor, kernel: Tensor) -> Tensor:
             # (B, H, W, Cin, kh, kw), masked like the forward differences
             gdiff = np.tensordot(gb, kernel.data, axes=([1], [0])) \
                 * mask[:, :, None, :, :]
-            gxp = np.zeros_like(xp)
-            for dh in range(kh):
-                for dw in range(kw):
-                    gxp[:, :, dh:dh + h, dw:dw + w] += \
-                        gdiff[:, :, :, :, dh, dw].transpose(0, 3, 1, 2)
-            gx = gxp[:, :, ph:ph + h, pw:pw + w]
+            gx = _scatter_taps(gdiff, xp.shape, 1)[:, :, ph:ph + h, pw:pw + w]
             gx -= gdiff.sum(axis=(4, 5)).transpose(0, 3, 1, 2)
             accumulate_grad(x, gx[0] if squeeze else gx)
 
     return graph_op(out[0] if squeeze else out, (x, kernel), backward)
+
+
+def cdc_conv(x: Tensor, kernel: Tensor, bias: Tensor, theta: float) -> Tensor:
+    """Central-difference convolution as one node:
+    ``(1 - theta) * (conv2d(x, kernel) + bias) + theta * central_difference_term(x, kernel)``.
+
+    Stride 1 with zero padding kh//2, kw//2, so the grid keeps its shape.
+    ``x`` is (Cin, H, W) or (B, Cin, H, W). One padded copy and one im2col
+    matrix serve both terms. Forward and backward run the same float
+    operations as the chain :func:`conv2d`, :func:`central_difference_term`,
+    :func:`scale`, :func:`add`, so results are bit-identical to it; at
+    ``theta == 0`` the difference term is skipped and the result equals
+    ``conv2d(x, kernel, bias, 1, 1)`` for a 3x3 kernel.
+    """
+    x, kernel, bias = _lift(x), _lift(kernel), _lift(bias)
+    if kernel.ndim != 4:
+        raise ShapeError(f"cdc_conv kernel must be 4D, got {kernel.shape}")
+    cout, cin, kh, kw = kernel.shape
+    if kh % 2 == 0 or kw % 2 == 0:
+        raise ShapeError(f"cdc_conv kernel extents must be odd, got {kh}x{kw}")
+    if x.ndim not in (3, 4) or x.shape[-3] != cin:
+        raise ShapeError(
+            f"cdc_conv needs a ([B,] {cin}, H, W) input for this kernel, got {x.shape}"
+        )
+    if bias.shape != (cout,):
+        raise ShapeError(f"cdc_conv bias must have shape ({cout},), got {bias.shape}")
+    theta = float(theta)
+    squeeze = x.ndim == 3
+    xs = x.data[None] if squeeze else x.data
+    _, _, h, w = xs.shape
+    ph, pw = kh // 2, kw // 2
+
+    xp = np.pad(xs, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    # (B, H, W, Cin, kh, kw): the layout tensordot contracts over the last three
+    cols = np.ascontiguousarray(
+        sliding_window_view(xp, (kh, kw), axis=(2, 3)).transpose(0, 2, 3, 1, 4, 5))
+    padded_shape = xp.shape
+    contract = ([3, 4, 5], [1, 2, 3])
+    out = np.moveaxis(np.tensordot(cols, kernel.data, axes=contract), 3, 1) \
+        + bias.data[:, None, None]
+    if theta != 0.0:
+        mask = _valid_taps(h, w, kh, kw)[:, :, None]
+        diffs = (cols - xs.transpose(0, 2, 3, 1)[..., None, None]) * mask
+        zg = np.moveaxis(np.tensordot(diffs, kernel.data, axes=contract), 3, 1)
+        out = out * (1.0 - theta) + zg * theta
+
+    def backward(g):
+        gb = g[None] if squeeze else g
+        # (term gradient, im2col rows the term read, mask of its taps), in the
+        # order the chain accumulated them: the conv term, then the difference term
+        terms = [(gb, cols, None)] if theta == 0.0 else \
+            [(gb * (1.0 - theta), cols, None), (gb * theta, diffs, mask)]
+        for gt, rows, tap_mask in terms:
+            if kernel.requires_grad:
+                accumulate_grad(kernel, np.tensordot(gt, rows, axes=([0, 2, 3], [0, 1, 2])))
+            if tap_mask is None and bias.requires_grad:
+                accumulate_grad(bias, gt.sum(axis=(0, 2, 3)))
+            if x.requires_grad:
+                taps = np.tensordot(gt, kernel.data, axes=([1], [0]))
+                if tap_mask is not None:
+                    taps = taps * tap_mask
+                gx = _scatter_taps(taps, padded_shape, 1)[:, :, ph:ph + h, pw:pw + w]
+                if tap_mask is not None:
+                    gx -= taps.sum(axis=(4, 5)).transpose(0, 3, 1, 2)
+                accumulate_grad(x, gx[0] if squeeze else gx)
+
+    return graph_op(out[0] if squeeze else out, (x, kernel, bias), backward)
 
 
 def window_sum3x3(x: Tensor) -> Tensor:
@@ -483,6 +596,56 @@ def pad2d(x: Tensor, pad: int) -> Tensor:
         accumulate_grad(x, g[..., pad:pad + h, pad:pad + w])
 
     return graph_op(np.pad(x.data, width), (x,), backward)
+
+
+def soft_histogram(z: Tensor, mu: Tensor, gamma: Tensor) -> Tensor:
+    """Soft-binned 3x3 histogram pooling as one node.
+
+    For channel c the response at (h, w) is the mean over the zero-padded
+    3x3 window of ``exp(-(gamma_c * (z - mu_c))^2)``; ``z`` is (C, H, W) or
+    (B, C, H, W) and ``mu``, ``gamma`` are (C,). Forward and backward run
+    the same float operations as the chain :func:`pad2d`, :func:`sub`,
+    :func:`mul`, :func:`exp`, :func:`neg`, :func:`window_sum3x3`,
+    :func:`scale`, so results are bit-identical to it.
+    """
+    z, mu, gamma = _lift(z), _lift(mu), _lift(gamma)
+    if z.ndim not in (3, 4):
+        raise ShapeError(f"soft_histogram input must be 3D or 4D, got {z.shape}")
+    c, h, w = z.shape[-3:]
+    if mu.shape != (c,) or gamma.shape != (c,):
+        raise ShapeError(
+            f"soft_histogram needs one bin per channel: input has {c} channels, "
+            f"mu/gamma have shapes {mu.shape}/{gamma.shape}"
+        )
+    per_channel = (c, 1, 1)
+    gamma_c = gamma.data.reshape(per_channel)
+    centered = np.pad(z.data, [(0, 0)] * (z.ndim - 2) + [(1, 1), (1, 1)]) \
+        - mu.data.reshape(per_channel)
+    u = gamma_c * centered
+    e = np.exp(-(u * u))
+    pooled = np.zeros(z.shape, dtype=e.dtype)
+    for dh in range(3):
+        for dw in range(3):
+            pooled += e[..., dh:dh + h, dw:dw + w]
+    inv_window = 1.0 / 9
+
+    def backward(g):
+        g = g * inv_window
+        ge = np.zeros(e.shape, dtype=e.dtype)
+        for dh in range(3):
+            for dw in range(3):
+                ge[..., dh:dh + h, dw:dw + w] += g
+        gu = -(ge * e) * u
+        gu = gu + gu  # u * u reads u twice
+        if gamma.requires_grad:
+            accumulate_grad(gamma, _unbroadcast(gu * centered, per_channel).reshape(c))
+        gc = gu * gamma_c
+        if mu.requires_grad:
+            accumulate_grad(mu, _unbroadcast(-gc, per_channel).reshape(c))
+        if z.requires_grad:
+            accumulate_grad(z, gc[..., 1:1 + h, 1:1 + w])
+
+    return graph_op(pooled * inv_window, (z, mu, gamma), backward)
 
 
 def exp(x: Tensor) -> Tensor:

@@ -47,11 +47,7 @@ class CdcConv:
     def forward_tensor(self, x: Tensor) -> Tensor:
         """(Cin, H, W) or (B, Cin, H, W) map to the same layout with Cout channels."""
         _check_theta(self.theta)
-        z = ad.conv2d(x, self.kernel, self.bias, stride=1, padding=1)
-        if self.theta == 0.0:
-            return z
-        zg = ad.central_difference_term(x, self.kernel)
-        return ad.add(ad.scale(z, 1.0 - self.theta), ad.scale(zg, self.theta))
+        return ad.cdc_conv(x, self.kernel, self.bias, self.theta)
 
     def parameters(self) -> dict:
         return {"kernel": self.kernel, "bias": self.bias}

@@ -95,17 +95,23 @@ def _scalar_checks(rng, instances):
         yield _merge(name, reports, OP_TOLERANCE)
 
 
-def _argument_checks(rng, instances, op, names, shapes):
+def _standard_normals(rng, shapes):
+    return [rng.standard_normal(s) for s in shapes]
+
+
+def _argument_checks(rng, instances, op, names, shapes, draw=_standard_normals,
+                     readout=_readout):
     """Check ``op`` with respect to each operand in turn.
 
-    Per instance, every operand is drawn (all requiring grad), then the
-    readout. ``names[i]`` names the check of operand ``i``, of shape ``shapes[i]``.
+    Per instance, every operand is drawn by ``draw`` (all requiring grad),
+    then the readout. ``names[i]`` names the check of operand ``i``, of shape
+    ``shapes[i]``.
     """
     for which, name in enumerate(names):
         reports = []
         for _ in range(instances):
-            parts = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
-            head = _readout(rng, op(*parts).shape)
+            parts = [Tensor(a, requires_grad=True) for a in draw(rng, shapes)]
+            head = readout(rng, op(*parts).shape)
 
             def fn(t, which=which, parts=parts, head=head):
                 args = list(parts)
@@ -181,6 +187,47 @@ def _composed_adapter_checks(rng):
                                       op_name=f"adapter/{name}")
 
 
+def _fused_checks(rng, instances):
+    """Each operand of the one-node ops the layers call (drawn last, so every
+    earlier check keeps its random draws)."""
+    yield from _argument_checks(rng, instances, ad.linear,
+                                ("linear/input", "linear/weight", "linear/bias"),
+                                ((2, 3, 4), (4, 2), (2,)))
+    yield from _argument_checks(
+        rng, instances, lambda x, k, b: ad.cdc_conv(x, k, b, 0.7),
+        ("cdc_conv/input", "cdc_conv/kernel", "cdc_conv/bias"),
+        ((2, 2, 4, 4), (3, 2, 3, 3), (3,)))
+    yield from _argument_checks(
+        rng, instances, ad.soft_histogram,
+        ("soft_histogram/input", "soft_histogram/mu", "soft_histogram/gamma"),
+        ((2, 3, 4, 4), (3,), (3,)), draw=_histogram_operands, readout=_positive_readout)
+
+
+def _histogram_operands(rng, shapes):
+    """Soft-histogram operands whose gradient entries all lie far from 0.
+
+    The relative error cannot judge an entry near 0, and the derivative of
+    exp(-(gamma (z - mu))^2) vanishes at z = mu. So every centered value
+    z - mu, the padded taps' -mu included, is positive, and it and |gamma|
+    lie in [0.5, 1.5). With a positive readout no entry then sums terms of
+    both signs.
+    """
+    z_shape, mu_shape, gamma_shape = shapes
+    mu = -rng.uniform(0.5, 1.5, mu_shape)
+    z = mu[:, None, None] + rng.uniform(0.5, 1.5, z_shape)
+    gamma = rng.uniform(0.5, 1.5, gamma_shape) * rng.choice([-1.0, 1.0], gamma_shape)
+    return [z, mu, gamma]
+
+
+def _positive_readout(rng, shape):
+    w = Tensor(rng.uniform(0.5, 1.5, shape))
+
+    def head(out):
+        return ad.sum_all(ad.mul(out, w))
+
+    return head
+
+
 def run_gradient_checks(instances_per_op: int = 5, seed: int = 0) -> list:
     """All per-op checks plus the composed-adapter checks, as reports."""
     rng = np.random.default_rng(np.random.SeedSequence([41, seed]))
@@ -191,4 +238,5 @@ def run_gradient_checks(instances_per_op: int = 5, seed: int = 0) -> list:
     reports.extend(_operand_checks(rng, instances_per_op))
     reports.extend(_objective_checks(rng, instances_per_op))
     reports.extend(_composed_adapter_checks(rng))
+    reports.extend(_fused_checks(rng, instances_per_op))
     return reports

@@ -31,7 +31,6 @@ class SoftHistogram:
     are safe in parallel, updates are single-threaded.
     """
 
-    WINDOW = 3
     # frozen halves of the two pixel-wise stages
     SHIFT_WEIGHT = 1.0
     SCALE_BIAS = 0.0
@@ -39,18 +38,10 @@ class SoftHistogram:
     def __init__(self, channels: int):
         self.mu = Tensor(np.zeros(channels), requires_grad=True)
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
-        self.channels = channels
 
     def forward_tensor(self, z: Tensor) -> Tensor:
         """(C, H, W) or (B, C, H, W) map to per-channel soft-bin responses, same shape."""
-        zp = ad.pad2d(z, 1)
-        per_channel = (self.channels, 1, 1)
-        # stage 1: weight SHIFT_WEIGHT (frozen), learnable bias -mu
-        centered = ad.sub(zp, ad.reshape(self.mu, per_channel))
-        # stage 2: learnable weight gamma, bias SCALE_BIAS (frozen)
-        u = ad.mul(ad.reshape(self.gamma, per_channel), centered)
-        e = ad.exp(ad.neg(ad.mul(u, u)))
-        return ad.scale(ad.window_sum3x3(e), 1.0 / (self.WINDOW * self.WINDOW))
+        return ad.soft_histogram(z, self.mu, self.gamma)
 
     def parameters(self) -> dict:
         return {"mu": self.mu, "gamma": self.gamma}

@@ -5,13 +5,13 @@ from __future__ import annotations
 import numpy as np
 
 from histadapter import autodiff as ad
-from histadapter.autodiff import ShapeError, Tensor
+from histadapter.autodiff import Tensor
 
 __all__ = ["Linear", "prefixed", "set_trainable"]
 
 
 class Linear:
-    """Affine map on the last axis: y = x @ weight + bias.
+    """Affine map on the last axis: y = x @ weight + bias, one :func:`ad.linear` node.
 
     ``init`` selects the weight fill: "lecun" (normal, std 1/sqrt(fan_in)),
     "zeros" (used for residual branches that must vanish at start), or
@@ -35,21 +35,9 @@ class Linear:
             raise ValueError(f"unknown init {init!r}")
         self.weight = Tensor(w, requires_grad=True)
         self.bias = Tensor(np.zeros(out_dim), requires_grad=True)
-        self.in_dim = in_dim
-        self.out_dim = out_dim
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.in_dim:
-            raise ShapeError(
-                f"linear layer expects width {self.in_dim}, got input shape {x.shape}"
-            )
-        lead = x.shape[:-1]
-        flat = ad.reshape(x, (-1 if lead else 1, self.in_dim)) if x.ndim != 2 else x
-        out = ad.matmul(flat, self.weight)
-        out = ad.add(out, self.bias)
-        if x.ndim != 2:
-            out = ad.reshape(out, lead + (self.out_dim,))
-        return out
+        return ad.linear(x, self.weight, self.bias)
 
     def parameters(self) -> dict:
         return {"weight": self.weight, "bias": self.bias}
