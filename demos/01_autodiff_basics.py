@@ -32,10 +32,12 @@ att = ad.softmax_lastdim(Tensor(rng.standard_normal((4, 6))))
 print("softmax row sums     :", att.data.sum(axis=-1))
 
 # --- every backward rule is validated against central differences ---------
-x = Tensor(rng.standard_normal((2, 5, 5)), requires_grad=True)
+# spatial ops take a batch of (C, H, W) grids; here a batch of one
+x = Tensor(rng.standard_normal((1, 2, 5, 5)), requires_grad=True)
 k = Tensor(rng.standard_normal((3, 2, 3, 3)))
-readout = Tensor(rng.standard_normal((3, 5, 5)))
+bias = Tensor(np.zeros(3))
+readout = Tensor(rng.standard_normal((1, 3, 5, 5)))
 report = finite_difference_check(
-    lambda t: ad.sum_all(ad.mul(ad.conv2d(t, k, padding=1), readout)),
+    lambda t: ad.sum_all(ad.mul(ad.conv2d(t, k, bias), readout)),
     x, op_name="conv2d")
 print(report)

@@ -16,14 +16,15 @@ layer = CdcConv(1, 1, rng, theta=0.7)
 layer.bias.data[:] = 0.0
 
 # a flat region with one bright pixel: the difference term fires around it
-x = np.zeros((1, 7, 7))
-x[0, 3, 3] = 1.0
-out = layer.forward_tensor(Tensor(x)).data[0]
+# (a batch of one single-channel 7x7 map)
+x = np.zeros((1, 1, 7, 7))
+x[0, 0, 3, 3] = 1.0
+out = layer.forward_tensor(Tensor(x)).data[0, 0]
 print("response around an isolated spike (theta=0.7):")
 print(np.array2string(out, precision=3, suppress_small=True))
 
 # constant input: every neighbor difference is literally zero
-flat = np.full((1, 7, 7), 0.42)
+flat = np.full((1, 1, 7, 7), 0.42)
 layer_pure_diff = CdcConv(1, 1, rng, theta=1.0)
 layer_pure_diff.bias.data[:] = 0.0
 diff_only = layer_pure_diff.forward_tensor(Tensor(flat)).data
@@ -31,7 +32,7 @@ print("\nconstant input, theta=1 output is exactly zero:",
       bool(np.all(diff_only == 0.0)))
 
 # theta=0 reduces to the plain convolution bit for bit
-plain = ad.conv2d(Tensor(x), layer.kernel, layer.bias, stride=1, padding=1).data
+plain = ad.conv2d(Tensor(x), layer.kernel, layer.bias).data
 layer.theta = 0.0
 print("theta=0 equals conv2d bit-exactly          :",
       bool(np.array_equal(layer.forward_tensor(Tensor(x)).data, plain)))

@@ -15,20 +15,20 @@ layer.mu.data[:] = 0.5
 layer.gamma.data[:] = 2.0
 print("input value -> interior histogram response (mu=0.5, gamma=2):")
 for v in np.linspace(-0.5, 1.5, 9):
-    z = np.full((1, 5, 5), v)
+    z = np.full((1, 1, 5, 5), v)  # a batch of one single-channel map
     out = layer.forward_tensor(Tensor(z)).data
-    print(f"  z={v:+.2f}   response={out[0, 2, 2]:.4f}")
+    print(f"  z={v:+.2f}   response={out[0, 0, 2, 2]:.4f}")
 
 # the classic hand case: one spike in a field of zeros, mu=0, gamma=1
 layer = SoftHistogram(1)
-z = np.zeros((1, 3, 3))
-z[0, 1, 1] = 1.0
+z = np.zeros((1, 1, 3, 3))
+z[0, 0, 1, 1] = 1.0
 out = layer.forward_tensor(Tensor(z)).data
-print("\nspike-in-zeros center value:", out[0, 1, 1])
+print("\nspike-in-zeros center value:", out[0, 0, 1, 1])
 print("analytic (8 + e^-1) / 9    :", (8 + np.exp(-1.0)) / 9)
 
 # gradients make the bin parameters trainable
-x = Tensor(np.random.default_rng(2).standard_normal((1, 4, 4)), requires_grad=True)
+x = Tensor(np.random.default_rng(2).standard_normal((1, 1, 4, 4)), requires_grad=True)
 from histadapter import autodiff as ad
 loss = ad.mean_all(layer.forward_tensor(x))
 loss.backward()

@@ -1,6 +1,7 @@
 """The statistical token adapter: bottleneck, local token map, histogram, fuse.
 
-The full pipeline applied to the patch tokens of a sequence is
+The full pipeline applied to the patch tokens of a (B, 1 + N, d) batch of
+sequences is
 
     dim_down -> to grid -> central-difference conv -> soft histogram
              -> to sequence -> dim_up -> residual add
@@ -82,19 +83,20 @@ class HistAdapter:
         return ad.gelu(h) if self.variant in _USES_GELU else h
 
     def token_map(self, patches: Tensor) -> Tensor:
-        """(..., N, model_dim) patch rows, N square, to the (..., adapter_dim, side, side)
+        """(B, N, model_dim) patch rows, N square, to the (B, adapter_dim, side, side)
         token map after the conv stage, the input of the histogram."""
-        side = math.isqrt(patches.shape[-2])
+        side = math.isqrt(patches.shape[1])
         grid = seq_to_grid(self._bottleneck(patches), side, side)
         return grid if self.cdc is None else self.cdc.forward_tensor(grid)
 
     def apply(self, tokens: Tensor) -> Tensor:
-        """(..., 1 + N, model_dim) tokens, class token at row 0, N a square number."""
-        if tokens.shape[-1] != self.model_dim:
+        """(B, 1 + N, model_dim) tokens, class token at row 0, N a square number."""
+        if tokens.ndim != 3 or tokens.shape[-1] != self.model_dim:
             raise ShapeError(
-                f"adapter built for width {self.model_dim}, got tokens {tokens.shape}"
+                f"adapter needs (B, 1 + N, {self.model_dim}) tokens of its width, "
+                f"got {tokens.shape}"
             )
-        cls_rows, patches = tokens[..., :1, :], tokens[..., 1:, :]
+        cls_rows, patches = tokens[:, :1, :], tokens[:, 1:, :]
 
         if self.cdc is None:
             h = self._bottleneck(patches)
@@ -109,7 +111,7 @@ class HistAdapter:
             out = ad.add(patches, branch)
         else:
             out = self.fuse(ad.concat([patches, branch], axis=-1))
-        return ad.concat([cls_rows, out], axis=-2)
+        return ad.concat([cls_rows, out], axis=1)
 
     def parameters(self) -> dict:
         params = prefixed("dim_down", self.dim_down.parameters())

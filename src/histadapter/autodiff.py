@@ -12,7 +12,10 @@ primitives it replaces, so results and gradients equal the chain's bit
 for bit; the primitives stay as references.
 
 Conventions:
-  * convolution is cross-correlation (no kernel flip),
+  * convolution is cross-correlation (no kernel flip), stride 1, zero
+    padded to keep the grid's shape,
+  * the spatial ops take one layout, a batch of channel-first grids
+    (B, C, H, W); a single grid is a batch of one,
   * gradients accumulate across uses; callers zero them between steps,
   * add, sub and mul broadcast one operand into the other's shape by
     numpy's rules; a pair that would broadcast to a third shape is
@@ -341,7 +344,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     in_dim, out_dim = weight.shape
     if x.ndim == 0 or x.shape[-1] != in_dim:
         raise ShapeError(f"linear layer expects width {in_dim}, got input shape {x.shape}")
-    flat = x.data.reshape(-1 if x.ndim > 1 else 1, in_dim)
+    flat = x.data.reshape(-1, in_dim)
     out = flat @ weight.data + bias.data
 
     def backward(g):
@@ -355,76 +358,58 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return graph_op(out.reshape(x.shape[:-1] + (out_dim,)), (x, weight, bias), backward)
 
 
-def _scatter_taps(taps: np.ndarray, padded_shape: tuple, stride: int) -> np.ndarray:
+def _scatter_taps(taps: np.ndarray, padded_shape: tuple) -> np.ndarray:
     """Gradient of a padded (B, Cin, Hp, Wp) input from the per-tap gradients
-    (B, H', W', Cin, kh, kw) of the windows a conv read from it."""
+    (B, H, W, Cin, kh, kw) of the stride-1 windows a conv read from it."""
     gxp = np.zeros(padded_shape, dtype=taps.dtype)
-    _, h_out, w_out, _, kh, kw = taps.shape
+    _, h, w, _, kh, kw = taps.shape
     for dh in range(kh):
         for dw in range(kw):
-            gxp[:, :, dh:dh + stride * h_out:stride, dw:dw + stride * w_out:stride] += \
-                taps[:, :, :, :, dh, dw].transpose(0, 3, 1, 2)
+            gxp[:, :, dh:dh + h, dw:dw + w] += taps[:, :, :, :, dh, dw].transpose(0, 3, 1, 2)
     return gxp
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
-           stride: int = 1, padding: int = 0) -> Tensor:
-    """2D cross-correlation with zero padding.
-
-    ``x`` is (Cin, H, W) or batched (B, Cin, H, W); ``kernel`` is
-    (Cout, Cin, kh, kw) with odd kh, kw. Output spatial extents follow
-    (H + 2*padding - kh)//stride + 1.
-    """
-    x, kernel = _lift(x), _lift(kernel)
+def _check_conv(name: str, x: Tensor, kernel: Tensor) -> None:
+    """A (B, Cin, H, W) input and a (Cout, Cin, kh, kw) kernel with odd kh, kw."""
     if kernel.ndim != 4:
-        raise ShapeError(f"conv2d kernel must be 4D, got {kernel.shape}")
-    cout, cin, kh, kw = kernel.shape
+        raise ShapeError(f"{name} kernel must be 4D, got {kernel.shape}")
+    _, cin, kh, kw = kernel.shape
     if kh % 2 == 0 or kw % 2 == 0:
-        raise ShapeError(f"conv2d kernel extents must be odd, got {kh}x{kw}")
-    squeeze = x.ndim == 3
-    if x.ndim not in (3, 4):
-        raise ShapeError(f"conv2d input must be 3D or 4D, got {x.shape}")
-    xs = x.data[None] if squeeze else x.data
-    if xs.shape[1] != cin:
-        raise ShapeError(
-            f"conv2d channel mismatch: input has {xs.shape[1]}, kernel expects {cin}"
-        )
-    batch, _, h, w = xs.shape
-    h_out = (h + 2 * padding - kh) // stride + 1
-    w_out = (w + 2 * padding - kw) // stride + 1
-    if h_out <= 0 or w_out <= 0:
-        raise ShapeError(
-            f"conv2d produces non-positive output extent {h_out}x{w_out} "
-            f"for input {h}x{w}, kernel {kh}x{kw}, stride {stride}, padding {padding}"
-        )
-    if bias is not None:
-        bias = _lift(bias)
-        if bias.shape != (cout,):
-            raise ShapeError(f"conv2d bias must have shape ({cout},), got {bias.shape}")
+        raise ShapeError(f"{name} kernel extents must be odd, got {kh}x{kw}")
+    if x.ndim != 4 or x.shape[1] != cin:
+        raise ShapeError(f"{name} needs a (B, {cin}, H, W) input for this kernel, got {x.shape}")
 
-    xp = np.pad(xs, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+
+def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
+    """2D cross-correlation, stride 1, zero padding kh//2, kw//2, plus a bias.
+
+    ``x`` is (B, Cin, H, W), ``kernel`` (Cout, Cin, kh, kw) with odd kh, kw
+    and ``bias`` (Cout,); the output is (B, Cout, H, W). The reference for
+    the conv term of :func:`cdc_conv`.
+    """
+    x, kernel, bias = _lift(x), _lift(kernel), _lift(bias)
+    _check_conv("conv2d", x, kernel)
+    cout, _, kh, kw = kernel.shape
+    if bias.shape != (cout,):
+        raise ShapeError(f"conv2d bias must have shape ({cout},), got {bias.shape}")
+    _, _, h, w = x.shape
+    ph, pw = kh // 2, kw // 2
+
+    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))  # (B,Cin,H,W,kh,kw)
     out = np.tensordot(windows, kernel.data, axes=([1, 4, 5], [1, 2, 3]))
-    out = np.moveaxis(out, 3, 1)  # (B, Cout, H', W')
-    if bias is not None:
-        out = out + bias.data[:, None, None]
+    out = np.moveaxis(out, 3, 1) + bias.data[:, None, None]  # (B, Cout, H, W)
 
     def backward(g):
-        gb = g[None] if squeeze else g
         if kernel.requires_grad:
-            accumulate_grad(
-                kernel, np.tensordot(gb, windows, axes=([0, 2, 3], [0, 2, 3]))
-            )
-        if bias is not None and bias.requires_grad:
-            accumulate_grad(bias, gb.sum(axis=(0, 2, 3)))
+            accumulate_grad(kernel, np.tensordot(g, windows, axes=([0, 2, 3], [0, 2, 3])))
+        if bias.requires_grad:
+            accumulate_grad(bias, g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            taps = np.tensordot(gb, kernel.data, axes=([1], [0]))
-            gxp = _scatter_taps(taps, xp.shape, stride)
-            gx = gxp[:, :, padding:padding + h, padding:padding + w]
-            accumulate_grad(x, gx[0] if squeeze else gx)
+            taps = np.tensordot(g, kernel.data, axes=([1], [0]))
+            accumulate_grad(x, _scatter_taps(taps, xp.shape)[:, :, ph:ph + h, pw:pw + w])
 
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
-    return graph_op(out[0] if squeeze else out, parents, backward)
+    return graph_op(out, (x, kernel, bias), backward)
 
 
 _VALID_TAP_CACHE: dict = {}
@@ -447,82 +432,63 @@ def _valid_taps(h: int, w: int, kh: int, kw: int) -> np.ndarray:
 def central_difference_term(x: Tensor, kernel: Tensor) -> Tensor:
     """Kernel-weighted sum of differences between each 3x3 neighbor and the center.
 
-    out[o,h,w] = sum over in-grid taps p of kernel[o,i,p] * (x[i,p] - x[i,h,w]),
-    summed over input channels i. Neighbors that fall outside the grid are
-    excluded, so a spatially constant input yields an exactly zero output
-    (each retained term is built from a literal zero difference). Stride 1,
-    shape preserving.
+    out[b,o,h,w] = sum over in-grid taps p of kernel[o,i,p] * (x[b,i,p] - x[b,i,h,w]),
+    summed over input channels i, for a (B, Cin, H, W) input. Neighbors
+    that fall outside the grid are excluded, so a spatially constant input
+    yields an exactly zero output (each retained term is built from a
+    literal zero difference). Stride 1, shape preserving.
     """
     x, kernel = _lift(x), _lift(kernel)
-    if kernel.ndim != 4:
-        raise ShapeError(f"kernel must be 4D, got {kernel.shape}")
-    cout, cin, kh, kw = kernel.shape
-    if kh % 2 == 0 or kw % 2 == 0:
-        raise ShapeError(f"kernel extents must be odd, got {kh}x{kw}")
-    squeeze = x.ndim == 3
-    xs = x.data[None] if squeeze else x.data
-    if xs.ndim != 4 or xs.shape[1] != cin:
-        raise ShapeError(
-            f"input shape {x.shape} does not fit kernel {kernel.shape}"
-        )
-    batch, _, h, w = xs.shape
+    _check_conv("central_difference_term", x, kernel)
+    _, _, kh, kw = kernel.shape
+    _, _, h, w = x.shape
     ph, pw = kh // 2, kw // 2
 
-    xp = np.pad(xs, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
     windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))  # (B,Cin,H,W,kh,kw)
     mask = _valid_taps(h, w, kh, kw)
-    diffs = (windows - xs[:, :, :, :, None, None]) * mask
+    diffs = (windows - x.data[:, :, :, :, None, None]) * mask
     out = np.tensordot(diffs, kernel.data, axes=([1, 4, 5], [1, 2, 3]))
     out = np.moveaxis(out, 3, 1)  # (B, Cout, H, W)
 
     def backward(g):
-        gb = g[None] if squeeze else g
         if kernel.requires_grad:
             accumulate_grad(
-                kernel, np.tensordot(gb, diffs, axes=([0, 2, 3], [0, 2, 3]))
+                kernel, np.tensordot(g, diffs, axes=([0, 2, 3], [0, 2, 3]))
             )
         if x.requires_grad:
             # (B, H, W, Cin, kh, kw), masked like the forward differences
-            gdiff = np.tensordot(gb, kernel.data, axes=([1], [0])) \
+            gdiff = np.tensordot(g, kernel.data, axes=([1], [0])) \
                 * mask[:, :, None, :, :]
-            gx = _scatter_taps(gdiff, xp.shape, 1)[:, :, ph:ph + h, pw:pw + w]
+            gx = _scatter_taps(gdiff, xp.shape)[:, :, ph:ph + h, pw:pw + w]
             gx -= gdiff.sum(axis=(4, 5)).transpose(0, 3, 1, 2)
-            accumulate_grad(x, gx[0] if squeeze else gx)
+            accumulate_grad(x, gx)
 
-    return graph_op(out[0] if squeeze else out, (x, kernel), backward)
+    return graph_op(out, (x, kernel), backward)
 
 
 def cdc_conv(x: Tensor, kernel: Tensor, bias: Tensor, theta: float) -> Tensor:
     """Central-difference convolution as one node:
-    ``(1 - theta) * (conv2d(x, kernel) + bias) + theta * central_difference_term(x, kernel)``.
+    ``(1 - theta) * conv2d(x, kernel, bias) + theta * central_difference_term(x, kernel)``.
 
-    Stride 1 with zero padding kh//2, kw//2, so the grid keeps its shape.
-    ``x`` is (Cin, H, W) or (B, Cin, H, W). One padded copy and one im2col
-    matrix serve both terms. Forward and backward run the same float
-    operations as the chain :func:`conv2d`, :func:`central_difference_term`,
-    :func:`scale`, :func:`add`, so results are bit-identical to it; at
-    ``theta == 0`` the difference term is skipped and the result equals
-    ``conv2d(x, kernel, bias, 1, 1)`` for a 3x3 kernel.
+    Stride 1 with zero padding kh//2, kw//2, so the (B, Cin, H, W) grid
+    keeps its shape. One padded copy and one im2col matrix serve both
+    terms. Forward and backward run the same float operations as the chain
+    :func:`conv2d`, :func:`central_difference_term`, :func:`scale`,
+    :func:`add`, so results are bit-identical to it; at ``theta == 0`` the
+    difference term is skipped and the result equals
+    ``conv2d(x, kernel, bias)``.
     """
     x, kernel, bias = _lift(x), _lift(kernel), _lift(bias)
-    if kernel.ndim != 4:
-        raise ShapeError(f"cdc_conv kernel must be 4D, got {kernel.shape}")
-    cout, cin, kh, kw = kernel.shape
-    if kh % 2 == 0 or kw % 2 == 0:
-        raise ShapeError(f"cdc_conv kernel extents must be odd, got {kh}x{kw}")
-    if x.ndim not in (3, 4) or x.shape[-3] != cin:
-        raise ShapeError(
-            f"cdc_conv needs a ([B,] {cin}, H, W) input for this kernel, got {x.shape}"
-        )
+    _check_conv("cdc_conv", x, kernel)
+    cout, _, kh, kw = kernel.shape
     if bias.shape != (cout,):
         raise ShapeError(f"cdc_conv bias must have shape ({cout},), got {bias.shape}")
     theta = float(theta)
-    squeeze = x.ndim == 3
-    xs = x.data[None] if squeeze else x.data
-    _, _, h, w = xs.shape
+    _, _, h, w = x.shape
     ph, pw = kh // 2, kw // 2
 
-    xp = np.pad(xs, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
     # (B, H, W, Cin, kh, kw): the layout tensordot contracts over the last three
     cols = np.ascontiguousarray(
         sliding_window_view(xp, (kh, kw), axis=(2, 3)).transpose(0, 2, 3, 1, 4, 5))
@@ -532,16 +498,15 @@ def cdc_conv(x: Tensor, kernel: Tensor, bias: Tensor, theta: float) -> Tensor:
         + bias.data[:, None, None]
     if theta != 0.0:
         mask = _valid_taps(h, w, kh, kw)[:, :, None]
-        diffs = (cols - xs.transpose(0, 2, 3, 1)[..., None, None]) * mask
+        diffs = (cols - x.data.transpose(0, 2, 3, 1)[..., None, None]) * mask
         zg = np.moveaxis(np.tensordot(diffs, kernel.data, axes=contract), 3, 1)
         out = out * (1.0 - theta) + zg * theta
 
     def backward(g):
-        gb = g[None] if squeeze else g
         # (term gradient, im2col rows the term read, mask of its taps), in the
         # order the chain accumulated them: the conv term, then the difference term
-        terms = [(gb, cols, None)] if theta == 0.0 else \
-            [(gb * (1.0 - theta), cols, None), (gb * theta, diffs, mask)]
+        terms = [(g, cols, None)] if theta == 0.0 else \
+            [(g * (1.0 - theta), cols, None), (g * theta, diffs, mask)]
         for gt, rows, tap_mask in terms:
             if kernel.requires_grad:
                 accumulate_grad(kernel, np.tensordot(gt, rows, axes=([0, 2, 3], [0, 1, 2])))
@@ -551,12 +516,12 @@ def cdc_conv(x: Tensor, kernel: Tensor, bias: Tensor, theta: float) -> Tensor:
                 taps = np.tensordot(gt, kernel.data, axes=([1], [0]))
                 if tap_mask is not None:
                     taps = taps * tap_mask
-                gx = _scatter_taps(taps, padded_shape, 1)[:, :, ph:ph + h, pw:pw + w]
+                gx = _scatter_taps(taps, padded_shape)[:, :, ph:ph + h, pw:pw + w]
                 if tap_mask is not None:
                     gx -= taps.sum(axis=(4, 5)).transpose(0, 3, 1, 2)
-                accumulate_grad(x, gx[0] if squeeze else gx)
+                accumulate_grad(x, gx)
 
-    return graph_op(out[0] if squeeze else out, (x, kernel, bias), backward)
+    return graph_op(out, (x, kernel, bias), backward)
 
 
 def window_sum3x3(x: Tensor) -> Tensor:
@@ -602,16 +567,16 @@ def soft_histogram(z: Tensor, mu: Tensor, gamma: Tensor) -> Tensor:
     """Soft-binned 3x3 histogram pooling as one node.
 
     For channel c the response at (h, w) is the mean over the zero-padded
-    3x3 window of ``exp(-(gamma_c * (z - mu_c))^2)``; ``z`` is (C, H, W) or
-    (B, C, H, W) and ``mu``, ``gamma`` are (C,). Forward and backward run
-    the same float operations as the chain :func:`pad2d`, :func:`sub`,
-    :func:`mul`, :func:`exp`, :func:`neg`, :func:`window_sum3x3`,
-    :func:`scale`, so results are bit-identical to it.
+    3x3 window of ``exp(-(gamma_c * (z - mu_c))^2)``; ``z`` is (B, C, H, W)
+    and ``mu``, ``gamma`` are (C,). Forward and backward run the same float
+    operations as the chain :func:`pad2d`, :func:`sub`, :func:`mul`,
+    :func:`exp`, :func:`neg`, :func:`window_sum3x3`, :func:`scale`, so
+    results are bit-identical to it.
     """
     z, mu, gamma = _lift(z), _lift(mu), _lift(gamma)
-    if z.ndim not in (3, 4):
-        raise ShapeError(f"soft_histogram input must be 3D or 4D, got {z.shape}")
-    c, h, w = z.shape[-3:]
+    if z.ndim != 4:
+        raise ShapeError(f"soft_histogram input must be (B, C, H, W), got {z.shape}")
+    _, c, h, w = z.shape
     if mu.shape != (c,) or gamma.shape != (c,):
         raise ShapeError(
             f"soft_histogram needs one bin per channel: input has {c} channels, "
@@ -619,8 +584,7 @@ def soft_histogram(z: Tensor, mu: Tensor, gamma: Tensor) -> Tensor:
         )
     per_channel = (c, 1, 1)
     gamma_c = gamma.data.reshape(per_channel)
-    centered = np.pad(z.data, [(0, 0)] * (z.ndim - 2) + [(1, 1), (1, 1)]) \
-        - mu.data.reshape(per_channel)
+    centered = np.pad(z.data, ((0, 0), (0, 0), (1, 1), (1, 1))) - mu.data.reshape(per_channel)
     u = gamma_c * centered
     e = np.exp(-(u * u))
     pooled = np.zeros(z.shape, dtype=e.dtype)

@@ -5,10 +5,11 @@ The layer computes two responses from one shared kernel:
     vanilla    Z  = conv(x) + bias
     gradient   Zg = sum over 3x3 neighbors p of  w(p) * (x_p - x_center)
 
-and blends them as Z* = (1 - theta) * Z + theta * Zg. The gradient term is
-built from literal neighbor-minus-center differences (neighbors beyond the
-grid edge are dropped), so it vanishes identically on constant inputs and
-theta = 0 reduces to the plain convolution bit for bit.
+and blends them as Z* = (1 - theta) * Z + theta * Zg, over a (B, Cin, H, W)
+batch of token maps. The gradient term is built from literal
+neighbor-minus-center differences (neighbors beyond the grid edge are
+dropped), so it vanishes identically on constant inputs and theta = 0
+reduces to the plain convolution bit for bit.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ class CdcConv:
         self.out_channels = out_channels
 
     def forward_tensor(self, x: Tensor) -> Tensor:
-        """(Cin, H, W) or (B, Cin, H, W) map to the same layout with Cout channels."""
+        """(B, Cin, H, W) map to (B, Cout, H, W)."""
         _check_theta(self.theta)
         return ad.cdc_conv(x, self.kernel, self.bias, self.theta)
 

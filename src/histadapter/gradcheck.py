@@ -126,11 +126,12 @@ def _operand_checks(rng, instances):
     yield from _argument_checks(rng, instances, ad.matmul,
                                 ("matmul/lhs", "matmul/rhs"), ((3, 4), (4, 2)))
     yield from _argument_checks(
-        rng, instances, lambda x, k, b: ad.conv2d(x, k, b, stride=1, padding=1),
-        ("conv2d/input", "conv2d/kernel", "conv2d/bias"), ((2, 5, 5), (3, 2, 3, 3), (3,)))
+        rng, instances, ad.conv2d,
+        ("conv2d/input", "conv2d/kernel", "conv2d/bias"), ((1, 2, 5, 5), (3, 2, 3, 3), (3,)))
     yield from _argument_checks(
         rng, instances, ad.central_difference_term,
-        ("central_difference/input", "central_difference/kernel"), ((2, 5, 5), (3, 2, 3, 3)))
+        ("central_difference/input", "central_difference/kernel"),
+        ((1, 2, 5, 5), (3, 2, 3, 3)))
     yield from _argument_checks(
         rng, instances, ad.layernorm,
         ("layernorm/input", "layernorm/gain", "layernorm/shift"), ((4, 6), (6,), (6,)))
@@ -171,8 +172,8 @@ def _composed_adapter_checks(rng):
     # zero-init dim_up would silence most parameter gradients; perturb it
     adapter.dim_up.weight.data = rng.normal(0.0, 0.2, adapter.dim_up.weight.shape)
     adapter.dim_up.bias.data = rng.normal(0.0, 0.2, adapter.dim_up.bias.shape)
-    tokens = rng.standard_normal((side * side + 1, model_dim))
-    head = _readout(rng, (side * side + 1, model_dim))
+    tokens = rng.standard_normal((1, side * side + 1, model_dim))
+    head = _readout(rng, (1, side * side + 1, model_dim))
 
     def run(seq_tokens):
         return head(adapter.apply(seq_tokens))

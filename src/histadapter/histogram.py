@@ -1,7 +1,8 @@
 """Differentiable per-token histogram with learnable bin centers and widths.
 
-Each channel carries one soft bin. For channel c at position (h, w) the
-response is the average over the zero-padded 3x3 window of
+Each channel carries one soft bin. For channel c at position (h, w) of each
+map in a (B, C, H, W) batch, the response is the average over the
+zero-padded 3x3 window of
 
     exp(-(gamma_c * (z - mu_c))^2)
 
@@ -31,16 +32,12 @@ class SoftHistogram:
     are safe in parallel, updates are single-threaded.
     """
 
-    # frozen halves of the two pixel-wise stages
-    SHIFT_WEIGHT = 1.0
-    SCALE_BIAS = 0.0
-
     def __init__(self, channels: int):
         self.mu = Tensor(np.zeros(channels), requires_grad=True)
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
 
     def forward_tensor(self, z: Tensor) -> Tensor:
-        """(C, H, W) or (B, C, H, W) map to per-channel soft-bin responses, same shape."""
+        """(B, C, H, W) map to per-channel soft-bin responses, same shape."""
         return ad.soft_histogram(z, self.mu, self.gamma)
 
     def parameters(self) -> dict:

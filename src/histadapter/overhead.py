@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from histadapter.adapter import _USES_CDC, _USES_HIST
 from histadapter.vit import PRESETS, ViTConfig
 
 __all__ = ["OverheadReport", "account", "format_report"]
@@ -42,9 +43,9 @@ def adapter_params(cfg: ViTConfig, adapter_dim: int, variant: str = "full",
                    fusion: str = "sum") -> int:
     d, a = cfg.width, adapter_dim
     total = _linear_params(d, a) + _linear_params(a, d)
-    if variant != "vanilla_linear":
+    if variant in _USES_CDC:
         total += a * a * 9 + a                       # conv kernel + bias
-    if variant in ("full", "linear_plus_cdc_hist"):
+    if variant in _USES_HIST:
         total += 2 * a                               # bin centers + widths
     if fusion == "concat":
         total += _linear_params(2 * d, d)
@@ -65,9 +66,9 @@ def adapter_macs(cfg: ViTConfig, adapter_dim: int, variant: str = "full",
     d, a = cfg.width, adapter_dim
     np_, hw = cfg.patch_tokens, cfg.patch_tokens
     total = np_ * d * a + np_ * a * d
-    if variant != "vanilla_linear":
+    if variant in _USES_CDC:
         total += 2 * hw * a * a * 9                  # vanilla + difference convs
-    if variant in ("full", "linear_plus_cdc_hist"):
+    if variant in _USES_HIST:
         total += 2 * hw * a + 9 * hw * a             # pixel-wise stages + window
     if fusion == "concat":
         total += np_ * 2 * d * d

@@ -1,11 +1,10 @@
 """Conversions between flat token sequences and spatial token grids.
 
-Transformer blocks see tokens as rows of an (N, C) matrix; the adapter's
-convolutional stages need them arranged as a (C, H, W) image with
+Transformer blocks see a batch of tokens as (B, N, C) rows; the adapter's
+convolutional stages need them arranged as (B, C, H, W) images with
 H * W = N. Only patch tokens take part in the spatial layout: callers strip
 the class token before the conversion and re-attach it after. Both
-conversions are pure reindexings, so gradients flow through bit-exactly. A
-leading batch axis is supported everywhere.
+conversions are pure reindexings, so gradients flow through bit-exactly.
 """
 
 from __future__ import annotations
@@ -17,20 +16,18 @@ __all__ = ["seq_to_grid", "grid_to_seq"]
 
 
 def seq_to_grid(tokens: Tensor, h: int, w: int) -> Tensor:
-    """(..., h*w, C) patch tokens to a (..., C, h, w) grid, row-major: row i*w + j -> (i, j)."""
-    if tokens.ndim not in (2, 3):
-        raise ShapeError(f"tokens must be 2D or 3D, got shape {tokens.shape}")
-    *lead, n_tokens, c = tokens.shape
+    """(B, h*w, C) patch tokens to a (B, C, h, w) grid, row-major: row i*w + j -> (i, j)."""
+    if tokens.ndim != 3:
+        raise ShapeError(f"tokens must be (B, N, C), got shape {tokens.shape}")
+    b, n_tokens, c = tokens.shape
     if n_tokens != h * w:
         raise ShapeError(f"sequence holds {n_tokens} patch tokens, grid needs {h}x{w}={h * w}")
-    n = len(lead)
-    return ad.transpose(ad.reshape(tokens, (*lead, h, w, c)), (*range(n), n + 2, n, n + 1))
+    return ad.transpose(ad.reshape(tokens, (b, h, w, c)), (0, 3, 1, 2))
 
 
 def grid_to_seq(grid: Tensor) -> Tensor:
     """Inverse of :func:`seq_to_grid`; round trips are the identity."""
-    if grid.ndim not in (3, 4):
-        raise ShapeError(f"grid must be 3D or 4D, got shape {grid.shape}")
-    *lead, c, h, w = grid.shape
-    n = len(lead)
-    return ad.reshape(ad.transpose(grid, (*range(n), n + 1, n + 2, n)), (*lead, h * w, c))
+    if grid.ndim != 4:
+        raise ShapeError(f"grid must be (B, C, H, W), got shape {grid.shape}")
+    b, c, h, w = grid.shape
+    return ad.reshape(ad.transpose(grid, (0, 2, 3, 1)), (b, h * w, c))

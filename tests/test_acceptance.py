@@ -57,14 +57,14 @@ def test_criterion_2_histogram_correctness():
         layer = SoftHistogram(c)
         layer.mu.data = rng.standard_normal(c)
         layer.gamma.data = rng.standard_normal(c) * 2
-        z = rng.standard_normal((c, h, w)) * 2
-        got = layer.forward_tensor(Tensor(z)).data
-        want = soft_histogram_loops(z, layer.mu.data, layer.gamma.data)
+        z = rng.standard_normal((1, c, h, w)) * 2
+        got = layer.forward_tensor(Tensor(z)).data[0]
+        want = soft_histogram_loops(z[0], layer.mu.data, layer.gamma.data)
         worst = max(worst, float(np.abs(got - want).max()))
         in_range = in_range and bool(np.all((got > 0.0) & (got <= 1.0)))
-    spike = np.zeros((1, 3, 3))
-    spike[0, 1, 1] = 1.0
-    center = SoftHistogram(1).forward_tensor(Tensor(spike)).data[0, 1, 1]
+    spike = np.zeros((1, 1, 3, 3))
+    spike[0, 0, 1, 1] = 1.0
+    center = SoftHistogram(1).forward_tensor(Tensor(spike)).data[0, 0, 1, 1]
     hand_err = abs(center - (8.0 + np.exp(-1.0)) / 9.0)
     ok = worst < 1e-12 and in_range and hand_err < 1e-12
     report(2, ok, f"1000 layered-vs-direct inputs, max abs err {worst:.2e} < 1e-12; "
@@ -75,25 +75,25 @@ def test_criterion_3_cdc_identities():
     rng = np.random.default_rng(3)
     layer = CdcConv(2, 2, rng, theta=0.0)
     layer.bias.data = rng.standard_normal(2)
-    x = Tensor(rng.standard_normal((2, 5, 5)))
+    x = Tensor(rng.standard_normal((1, 2, 5, 5)))
     theta0 = np.array_equal(
         layer.forward_tensor(x).data,
-        ad.conv2d(x, layer.kernel, layer.bias, stride=1, padding=1).data,
+        ad.conv2d(x, layer.kernel, layer.bias).data,
     )
 
     diff_layer = CdcConv(2, 2, rng, theta=1.0)
     diff_layer.bias.data[:] = 0.0
-    const = Tensor(np.full((2, 5, 5), -1.37))
+    const = Tensor(np.full((1, 2, 5, 5), -1.37))
     const_zero = bool(np.all(diff_layer.forward_tensor(const).data == 0.0))
 
     worst = 0.0
     blend = CdcConv(2, 2, rng, theta=0.7)
     blend.bias.data = rng.standard_normal(2)
     for _ in range(20):
-        xi = rng.standard_normal((2, 5, 5))
-        got = blend.forward_tensor(Tensor(xi)).data
-        want = (0.3 * conv2d_loops(xi, blend.kernel.data, blend.bias.data, 1, 1)
-                + 0.7 * cdc_difference_loops(xi, blend.kernel.data))
+        xi = rng.standard_normal((1, 2, 5, 5))
+        got = blend.forward_tensor(Tensor(xi)).data[0]
+        want = (0.3 * conv2d_loops(xi[0], blend.kernel.data, blend.bias.data, 1, 1)
+                + 0.7 * cdc_difference_loops(xi[0], blend.kernel.data))
         worst = max(worst, float(np.abs(got - want).max()))
     ok = theta0 and const_zero and worst < 1e-10
     report(3, ok, f"theta=0 bit-exact: {theta0}; constant-input difference "

@@ -6,10 +6,9 @@ from histadapter.adapter import VARIANTS, HistAdapter
 from histadapter.autodiff import ShapeError, Tensor, finite_difference_check
 
 
-def make_seq(rng, n_tokens=10, width=16, batch=None):
-    """A class token plus a 3x3 grid of patch tokens by default."""
-    shape = (n_tokens, width) if batch is None else (batch, n_tokens, width)
-    return Tensor(rng.standard_normal(shape))
+def make_seq(rng, n_tokens=10, width=16, batch=1):
+    """A batch of one class token plus a 3x3 grid of patch tokens by default."""
+    return Tensor(rng.standard_normal((batch, n_tokens, width)))
 
 
 class TestIdentityAtInit:
@@ -33,8 +32,8 @@ class TestShapesAndClassToken:
     def test_output_shape_196_plus_class_at_base_width(self):
         rng = np.random.default_rng(2)
         adapter = HistAdapter(768, rng)
-        seq = Tensor(rng.standard_normal((197, 768)))
-        assert adapter.apply(seq).shape == (197, 768)
+        seq = Tensor(rng.standard_normal((1, 197, 768)))
+        assert adapter.apply(seq).shape == (1, 197, 768)
 
     def test_class_token_bitwise_unchanged_after_training_drift(self):
         rng = np.random.default_rng(3)
@@ -56,6 +55,13 @@ class TestShapesAndClassToken:
         adapter = HistAdapter(16, rng)
         with pytest.raises(ShapeError, match="patch tokens"):
             adapter.apply(make_seq(rng, n_tokens=11))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("shape", [(10, 16), (1, 1, 10, 16)], ids=["unbatched", "rank4"])
+    def test_tokens_must_be_batched_sequences(self, variant, shape):
+        adapter = HistAdapter(16, np.random.default_rng(4), adapter_dim=4, variant=variant)
+        with pytest.raises(ShapeError, match=r"\(B, 1 \+ N, 16\)"):
+            adapter.apply(Tensor(np.zeros(shape)))
 
 
 class TestParameterSurface:
@@ -137,8 +143,8 @@ class TestEndToEndGradient:
         rng = np.random.default_rng(15)
         adapter = HistAdapter(12, rng, adapter_dim=4)
         adapter.dim_up.weight.data = rng.normal(0, 0.3, (4, 12))
-        tokens = rng.standard_normal((10, 12))
-        head_w = Tensor(rng.standard_normal((10, 12)))
+        tokens = rng.standard_normal((1, 10, 12))
+        head_w = Tensor(rng.standard_normal((1, 10, 12)))
 
         def f(t):
             return ad.sum_all(ad.mul(adapter.apply(t), head_w))

@@ -134,49 +134,68 @@ class TestMatmul:
 
 class TestConv2d:
     def test_unit_kernel_identity(self):
-        x = Tensor([[[1.0, 2.0], [3.0, 4.0]]])
+        x = Tensor([[[[1.0, 2.0], [3.0, 4.0]]]])
         k = Tensor(np.ones((1, 1, 1, 1)))
         out = ad.conv2d(x, k, Tensor([0.0]))
         assert np.array_equal(out.data, x.data)
 
     def test_ones_center_is_nine(self):
-        x = Tensor(np.ones((1, 3, 3)))
+        x = Tensor(np.ones((1, 1, 3, 3)))
         k = Tensor(np.ones((1, 1, 3, 3)))
-        out = ad.conv2d(x, k, padding=1)
-        assert out.data[0, 1, 1] == 9.0
+        out = ad.conv2d(x, k, Tensor([0.0]))
+        assert out.data[0, 0, 1, 1] == 9.0
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(5):
-            x = rng.standard_normal((2, 5, 6))
+            x = rng.standard_normal((1, 2, 5, 6))
             k = rng.standard_normal((3, 2, 3, 3))
             b = rng.standard_normal(3)
-            for stride, padding in ((1, 1), (2, 1), (1, 0)):
-                got = ad.conv2d(Tensor(x), Tensor(k), Tensor(b), stride, padding)
-                want = conv2d_loops(x, k, b, stride, padding)
-                assert np.allclose(got.data, want, atol=1e-12)
+            got = ad.conv2d(Tensor(x), Tensor(k), Tensor(b))
+            want = conv2d_loops(x[0], k, b, 1, 1)
+            assert np.allclose(got.data[0], want, atol=1e-12)
 
     def test_batched_matches_per_image(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((4, 2, 5, 5))
         k = rng.standard_normal((3, 2, 3, 3))
-        batched = ad.conv2d(Tensor(x), Tensor(k), padding=1).data
+        b = Tensor(np.zeros(3))
+        batched = ad.conv2d(Tensor(x), Tensor(k), b).data
         for i in range(4):
-            single = ad.conv2d(Tensor(x[i]), Tensor(k), padding=1).data
-            # reduction order differs between the two einsum paths
+            single = ad.conv2d(Tensor(x[i:i + 1]), Tensor(k), b).data[0]
+            # reduction order may differ between batch sizes
             assert np.allclose(batched[i], single, atol=1e-13, rtol=0)
 
     def test_gradient_vs_fd(self):
         rng = np.random.default_rng(5)
-        x = Tensor(rng.standard_normal((2, 5, 5)), requires_grad=True)
+        x = Tensor(rng.standard_normal((1, 2, 5, 5)), requires_grad=True)
         k = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
-        head = weighted_head(rng, (3, 5, 5))
-        rep = finite_difference_check(lambda t: head(ad.conv2d(t, k, padding=1)), x)
+        head = weighted_head(rng, (1, 3, 5, 5))
+        b = Tensor(np.zeros(3))
+        rep = finite_difference_check(lambda t: head(ad.conv2d(t, k, b)), x)
         assert rep.max_relative_error < 1e-5
 
-    def test_nonpositive_output_extent(self):
-        with pytest.raises(ShapeError, match="non-positive"):
-            ad.conv2d(Tensor(np.zeros((1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))))
+    def test_kernel_larger_than_grid_keeps_its_shape(self):
+        out = ad.conv2d(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 5, 5))),
+                        Tensor([0.0]))
+        assert out.shape == (1, 1, 2, 2) and np.all(out.data == 4.0)
+
+    @pytest.mark.parametrize("op", ["conv2d", "central_difference_term"])
+    @pytest.mark.parametrize("x_shape, k_shape, b_shape", [
+        ((1, 3, 4, 4), (2, 2, 3, 3), (2,)),  # input channels
+        ((1, 2, 4, 4), (2, 2, 2, 3), (2,)),  # even kernel height
+        ((1, 2, 4, 4), (2, 2, 3, 4), (2,)),  # even kernel width
+        ((1, 2, 4, 4), (2, 2, 3), (2,)),     # kernel not 4D
+        ((2, 4, 4), (2, 2, 3, 3), (2,)),     # unbatched input
+        ((4, 4), (2, 2, 3, 3), (2,)),        # input rank
+    ])
+    def test_shape_mismatch_rejected(self, op, x_shape, k_shape, b_shape):
+        x, k, b = (Tensor(np.zeros(s)) for s in (x_shape, k_shape, b_shape))
+        with pytest.raises(ShapeError, match=op):
+            if op == "conv2d":
+                ad.conv2d(x, k, b)
+            else:
+                ad.central_difference_term(x, k)
 
 
 class TestActivationsAndNorms:
@@ -321,15 +340,15 @@ def _matmul_case(rng):
 
 def _conv_case(rng):
     k = Tensor(rng.standard_normal((2, 2, 3, 3)))
-    head = weighted_head(rng, (2, 4, 4))
-    x = Tensor(rng.standard_normal((2, 4, 4)), requires_grad=True)
-    return lambda t: head(ad.conv2d(t, k, padding=1)), x
+    head = weighted_head(rng, (1, 2, 4, 4))
+    x = Tensor(rng.standard_normal((1, 2, 4, 4)), requires_grad=True)
+    return lambda t: head(ad.conv2d(t, k, Tensor(np.zeros(2)))), x
 
 
 def _cdt_case(rng):
     k = Tensor(rng.standard_normal((2, 2, 3, 3)))
-    head = weighted_head(rng, (2, 4, 4))
-    x = Tensor(rng.standard_normal((2, 4, 4)), requires_grad=True)
+    head = weighted_head(rng, (1, 2, 4, 4))
+    x = Tensor(rng.standard_normal((1, 2, 4, 4)), requires_grad=True)
     return lambda t: head(ad.central_difference_term(t, k)), x
 
 

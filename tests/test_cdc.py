@@ -25,16 +25,16 @@ class TestIdentities:
     def test_theta_zero_is_plain_convolution_bit_exact(self):
         layer = make_layer(theta=0.0)
         rng = np.random.default_rng(1)
-        x = Tensor(rng.standard_normal((2, 5, 5)))
+        x = Tensor(rng.standard_normal((1, 2, 5, 5)))
         got = layer.forward_tensor(x).data
-        plain = ad.conv2d(x, layer.kernel, layer.bias, stride=1, padding=1).data
+        plain = ad.conv2d(x, layer.kernel, layer.bias).data
         assert np.array_equal(got, plain)
 
     @pytest.mark.parametrize("value", [0.0, 0.37, -2.5])
     def test_constant_input_difference_term_exactly_zero(self, value):
         layer = make_layer(theta=1.0)
         layer.bias.data[:] = 0.0
-        x = Tensor(np.full((2, 6, 7), value))
+        x = Tensor(np.full((1, 2, 6, 7), value))
         # theta=1 output is purely the difference term
         out = layer.forward_tensor(x).data
         assert np.all(out == 0.0)
@@ -44,16 +44,16 @@ class TestIdentities:
         # interior outputs are (1 - theta) * c * sum(kernel) + (1 - theta) * bias
         layer = make_layer(theta=0.7)
         c = 0.83
-        x = Tensor(np.full((2, 5, 5), c))
-        out = layer.forward_tensor(x).data
+        x = Tensor(np.full((1, 2, 5, 5), c))
+        out = layer.forward_tensor(x).data[0]
         ksum = layer.kernel.data.sum(axis=(1, 2, 3))
         expected = (1 - 0.7) * (c * ksum + layer.bias.data)
         assert np.allclose(out[:, 2, 2], expected, atol=1e-12)
 
     def test_shape_preserved(self):
         layer = make_layer(theta=0.5, cin=3, cout=5)
-        x = Tensor(np.random.default_rng(2).standard_normal((3, 4, 6)))
-        assert layer.forward_tensor(x).shape == (5, 4, 6)
+        x = Tensor(np.random.default_rng(2).standard_normal((1, 3, 4, 6)))
+        assert layer.forward_tensor(x).shape == (1, 5, 4, 6)
 
 
 class TestOracleEquivalence:
@@ -62,9 +62,9 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(3)
         layer = make_layer(theta=theta, seed=4)
         for _ in range(5):
-            x = rng.standard_normal((2, 5, 5))
-            got = layer.forward_tensor(Tensor(x)).data
-            assert np.abs(got - blend_oracle(x, layer)).max() < 1e-10
+            x = rng.standard_normal((1, 2, 5, 5))
+            got = layer.forward_tensor(Tensor(x)).data[0]
+            assert np.abs(got - blend_oracle(x[0], layer)).max() < 1e-10
 
     def test_batched_matches_single(self):
         layer = make_layer(theta=0.7)
@@ -72,7 +72,7 @@ class TestOracleEquivalence:
         x = rng.standard_normal((3, 2, 4, 4))
         batched = layer.forward_tensor(Tensor(x)).data
         for i in range(3):
-            single = layer.forward_tensor(Tensor(x[i])).data
+            single = layer.forward_tensor(Tensor(x[i:i + 1])).data[0]
             assert np.allclose(batched[i], single, atol=1e-13, rtol=0)
 
 
@@ -86,15 +86,15 @@ class TestValidation:
         layer = make_layer(theta=0.5)
         layer.theta = 1.2
         with pytest.raises(ValueError, match="theta"):
-            layer.forward_tensor(Tensor(np.zeros((2, 3, 3))))
+            layer.forward_tensor(Tensor(np.zeros((1, 2, 3, 3))))
 
 
 class TestGradients:
     def test_fd_all_parameters(self):
         rng = np.random.default_rng(6)
         layer = make_layer(theta=0.7, seed=7)
-        x = Tensor(rng.standard_normal((2, 4, 4)), requires_grad=True)
-        w = Tensor(rng.standard_normal((2, 4, 4)))
+        x = Tensor(rng.standard_normal((1, 2, 4, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((1, 2, 4, 4)))
         head = lambda out: ad.sum_all(ad.mul(out, w))
 
         rep = finite_difference_check(

@@ -32,7 +32,7 @@ def linear_chain(x, weight, bias):
 
 
 def cdc_chain(x, kernel, bias, theta):
-    z = ad.conv2d(x, kernel, bias, stride=1, padding=1)
+    z = ad.conv2d(x, kernel, bias)
     if theta == 0.0:
         return z
     zg = ad.central_difference_term(x, kernel)
@@ -95,7 +95,8 @@ class TestLinear:
 
 class TestCdcConv:
     @pytest.mark.parametrize("theta", [0.0, 0.7, 1.0])
-    @pytest.mark.parametrize("lead", [(), (3,)], ids=["unbatched", "batched"])
+    # "unbatched": one grid, which the spatial ops take as a batch of one
+    @pytest.mark.parametrize("lead", [(1,), (3,)], ids=["unbatched", "batched"])
     @pytest.mark.parametrize("trainable", FROZEN_IN_TURN)
     def test_matches_chain_bit_for_bit(self, theta, lead, trainable):
         rng = np.random.default_rng(2)
@@ -105,13 +106,14 @@ class TestCdcConv:
                              lambda x, k, b: cdc_chain(x, k, b, theta), arrays, trainable)
 
     @pytest.mark.parametrize("x_shape, k_shape, b_shape", [
-        ((3, 4, 4), (2, 2, 3, 3), (2,)),     # input channels
-        ((1, 3, 4, 4), (2, 2, 3, 3), (2,)),  # input channels, batched
-        ((2, 4, 4), (2, 2, 2, 3), (2,)),     # even kernel height
-        ((2, 4, 4), (2, 2, 3, 4), (2,)),     # even kernel width
-        ((2, 4, 4), (2, 2, 3), (2,)),        # kernel not 4D
-        ((2, 4, 4), (2, 2, 3, 3), (3,)),     # bias width
+        ((2, 3, 4, 4), (2, 2, 3, 3), (2,)),  # input channels
+        ((1, 3, 4, 4), (2, 2, 3, 3), (2,)),  # input channels, batch of one
+        ((1, 2, 4, 4), (2, 2, 2, 3), (2,)),  # even kernel height
+        ((1, 2, 4, 4), (2, 2, 3, 4), (2,)),  # even kernel width
+        ((1, 2, 4, 4), (2, 2, 3), (2,)),     # kernel not 4D
+        ((1, 2, 4, 4), (2, 2, 3, 3), (3,)),  # bias width
         ((4, 4), (2, 2, 3, 3), (2,)),        # input rank
+        ((2, 4, 4), (2, 2, 3, 3), (2,)),     # unbatched input
     ])
     def test_shape_mismatch_rejected(self, x_shape, k_shape, b_shape):
         with pytest.raises(ShapeError):
@@ -120,7 +122,8 @@ class TestCdcConv:
 
 
 class TestSoftHistogram:
-    @pytest.mark.parametrize("lead", [(), (3,)], ids=["unbatched", "batched"])
+    # "unbatched": one map, which the spatial ops take as a batch of one
+    @pytest.mark.parametrize("lead", [(1,), (3,)], ids=["unbatched", "batched"])
     @pytest.mark.parametrize("trainable", FROZEN_IN_TURN)
     def test_matches_chain_bit_for_bit(self, lead, trainable):
         rng = np.random.default_rng(5)
@@ -129,10 +132,11 @@ class TestSoftHistogram:
         assert_bit_identical(ad.soft_histogram, histogram_chain, arrays, trainable)
 
     @pytest.mark.parametrize("z_shape, mu_shape, gamma_shape", [
-        ((3, 4, 4), (2,), (2,)),      # channels
+        ((1, 3, 4, 4), (2,), (2,)),   # channels
         ((2, 3, 4, 4), (3,), (2,)),   # gamma channels
         ((2, 3, 4, 4), (2,), (3,)),   # mu channels
         ((4, 4), (4,), (4,)),         # input rank
+        ((3, 4, 4), (3,), (3,)),      # unbatched input
     ])
     def test_shape_mismatch_rejected(self, z_shape, mu_shape, gamma_shape):
         with pytest.raises(ShapeError):

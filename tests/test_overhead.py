@@ -1,6 +1,6 @@
 import numpy as np
 
-from histadapter.adapter import HistAdapter
+from histadapter.adapter import FUSIONS, VARIANTS, HistAdapter
 from histadapter.overhead import account, adapter_params, backbone_params, head_params
 from histadapter.vit import PRESETS, build_model
 
@@ -15,8 +15,8 @@ def test_analytic_backbone_count_matches_live_toy_model():
 
 def test_analytic_adapter_count_matches_live_adapters():
     rng = np.random.default_rng(0)
-    for variant in ("full", "no_hist", "vanilla_linear"):
-        for fusion in ("sum", "concat"):
+    for variant in VARIANTS:
+        for fusion in FUSIONS:
             adapter = HistAdapter(64, rng, adapter_dim=8, variant=variant,
                                   fusion=fusion)
             live = sum(p.size for p in adapter.parameters().values())
