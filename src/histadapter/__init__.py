@@ -1,6 +1,6 @@
 """Statistical token-histogram adapters on a self-contained autodiff engine."""
 
-from histadapter.adapter import FUSIONS, VARIANTS, HistAdapter, insert_into_block
+from histadapter.adapter import FUSIONS, VARIANTS, HistAdapter
 from histadapter.autodiff import (
     GradCheckReport,
     ShapeError,
@@ -80,7 +80,6 @@ __all__ = [
     "gram",
     "grid_to_seq",
     "hter",
-    "insert_into_block",
     "load_checkpoint",
     "load_config",
     "roc",

@@ -34,10 +34,10 @@ from histadapter import autodiff as ad
 from histadapter.autodiff import ShapeError, Tensor
 from histadapter.cdc import CdcConv
 from histadapter.histogram import SoftHistogram
-from histadapter.nn import Linear, prefixed, set_trainable
+from histadapter.nn import Linear, prefixed
 from histadapter.tokens import grid_to_seq, seq_to_grid
 
-__all__ = ["HistAdapter", "VARIANTS", "FUSIONS", "insert_into_block"]
+__all__ = ["HistAdapter", "VARIANTS", "FUSIONS"]
 
 VARIANTS = (
     "full",
@@ -124,16 +124,3 @@ class HistAdapter:
             params.update(prefixed("fuse", self.fuse.parameters()))
         return params
 
-
-def insert_into_block(block, msa_adapter: HistAdapter, mlp_adapter: HistAdapter):
-    """Attach adapters after a block's attention and MLP stages.
-
-    The block's own weights are frozen; the adapters become the only
-    trainable parameters inside the block.
-    """
-    block.msa_adapter = msa_adapter
-    block.mlp_adapter = mlp_adapter
-    set_trainable(block.backbone_parameters(), False)
-    set_trainable(msa_adapter.parameters(), True)
-    set_trainable(mlp_adapter.parameters(), True)
-    return block

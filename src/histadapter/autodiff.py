@@ -71,6 +71,8 @@ __all__ = [
 ]
 
 _FLOAT_TYPES = (np.float32, np.float64)
+_BASIC_INDEX = (int, np.integer, slice, type(None), type(Ellipsis))
+LAYERNORM_EPS = 1e-5
 
 
 class ShapeError(ValueError):
@@ -127,7 +129,22 @@ class Tensor:
                 node._backward(node.grad)
 
     def __getitem__(self, idx):
-        return _basic_slice(self, idx)
+        """Basic indexing only: ints, slices, ``None`` and ``Ellipsis``.
+
+        An array index could repeat an entry, and the scatter in this
+        backward would then drop all but one of its gradients.
+        """
+        for part in idx if isinstance(idx, tuple) else (idx,):
+            if not isinstance(part, _BASIC_INDEX):
+                raise ShapeError(f"Tensor index takes ints, slices, None and Ellipsis, got "
+                                 f"{type(part).__name__}; gather rows with take_rows")
+
+        def backward(g):
+            gx = np.zeros(self.shape, dtype=self.data.dtype)
+            gx[idx] += g
+            accumulate_grad(self, gx)
+
+        return graph_op(self.data[idx], (self,), backward)
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -652,7 +669,7 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     return graph_op(y, (x,), backward)
 
 
-def layernorm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
+def layernorm(x: Tensor, gain: Tensor, shift: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     x, gain, shift = _lift(x), _lift(gain), _lift(shift)
     d = x.shape[-1]
@@ -662,7 +679,7 @@ def layernorm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -> Tens
         )
     mean = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
     xhat = (x.data - mean) * inv
 
     def backward(g):
@@ -756,15 +773,6 @@ def take_rows(x: Tensor, indices) -> Tensor:
         accumulate_grad(x, gx)
 
     return graph_op(x.data[indices], (x,), backward)
-
-
-def _basic_slice(x: Tensor, idx) -> Tensor:
-    def backward(g):
-        gx = np.zeros(x.shape, dtype=x.data.dtype)
-        gx[idx] += g
-        accumulate_grad(x, gx)
-
-    return graph_op(x.data[idx], (x,), backward)
 
 
 # ---------------------------------------------------------------------------

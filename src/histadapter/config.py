@@ -29,7 +29,6 @@ class RunConfig:
     adapter_dim: int = 8
     theta: float = 0.7
     tsr_lambda: float = 0.1
-    tsr_aggregation: str = "domain"
     lr: float = 1e-4
     epochs: int = 20
     batch_size: int = 32
@@ -54,8 +53,6 @@ class RunConfig:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
         if not (math.isfinite(self.tsr_lambda) and self.tsr_lambda >= 0):
             raise ValueError(f"lambda must be finite and >= 0, got {self.tsr_lambda}")
-        if self.tsr_aggregation not in ("domain", "pairwise"):
-            raise ValueError(f"unknown tsr_aggregation {self.tsr_aggregation!r}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and positive, got {self.lr}")
         for name in ("adapter_dim", "epochs", "batch_size", "num_domains",

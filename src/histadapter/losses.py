@@ -20,14 +20,13 @@ __all__ = [
     "gram",
     "tsr_pair",
     "tsr_average",
-    "group_bona_fide_by_domain",
     "batch_tsr",
     "binary_cross_entropy_with_logits",
     "total_loss",
     "attack_probabilities",
 ]
 
-BONA_FIDE, ATTACK = 0, 1
+BONA_FIDE = 0
 
 
 def gram(z: Tensor) -> Tensor:
@@ -51,10 +50,7 @@ def tsr_average(domain_grids) -> Tensor:
 
     With fewer than two domains the batch is degenerate and the value is 0.
     """
-    return _mean_tsr(list(combinations(domain_grids, 2)))
-
-
-def _mean_tsr(pairs: list) -> Tensor:
+    pairs = list(combinations(domain_grids, 2))
     if not pairs:
         return Tensor(np.zeros(()))
     total = tsr_pair(*pairs[0])
@@ -63,46 +59,23 @@ def _mean_tsr(pairs: list) -> Tensor:
     return ad.scale(total, 1.0 / len(pairs))
 
 
-def _bona_fide_rows_by_domain(labels, domain_ids):
-    """Indices of each domain's bona fide examples, domains ascending, empty ones skipped."""
+def batch_tsr(style_maps: Tensor, labels, domain_ids) -> Tensor:
+    """Token-style regularizer over a batch of per-example (B, C, H, W) style maps.
+
+    Each domain's bona fide maps, domains ascending, are pooled into one
+    (C, m*H, W) map by concatenating them along the row axis, so its Gram
+    matrix is the domain's second moment over all of its examples. The
+    value is :func:`tsr_average` over the pooled maps.
+    """
     labels = np.asarray(labels)
     domain_ids = np.asarray(domain_ids)
-    for dom in sorted(set(domain_ids.tolist())):
-        idx = np.flatnonzero((domain_ids == dom) & (labels == BONA_FIDE))
-        if idx.size:
-            yield idx
-
-
-def group_bona_fide_by_domain(style_maps: Tensor, labels, domain_ids) -> list:
-    """Pool each domain's bona fide maps into one (C, m*H, W) map per domain.
-
-    ``style_maps`` is the batch of per-example token maps (B, C, H, W).
-    Pooling concatenates a domain's maps along the row axis, so its Gram
-    matrix is the domain's second moment over all of its examples.
-    """
+    bona_fide = labels == BONA_FIDE
     grids = []
-    for idx in _bona_fide_rows_by_domain(labels, domain_ids):
-        rows = ad.take_rows(style_maps, idx)  # (m, C, H, W)
+    for dom in np.unique(domain_ids[bona_fide]):
+        rows = ad.take_rows(style_maps, np.flatnonzero(bona_fide & (domain_ids == dom)))
         m, c, h, w = rows.shape
         grids.append(ad.reshape(ad.transpose(rows, (1, 0, 2, 3)), (c, m * h, w)))
-    return grids
-
-
-def batch_tsr(style_maps: Tensor, labels, domain_ids, aggregation: str = "domain") -> Tensor:
-    """Token-style regularizer over a batch of per-example style maps.
-
-    ``aggregation="domain"`` (default) pools each domain before one Gram
-    per domain; ``"pairwise"`` instead averages :func:`tsr_pair` over all
-    cross-domain pairs of individual bona fide examples.
-    """
-    if aggregation == "domain":
-        return tsr_average(group_bona_fide_by_domain(style_maps, labels, domain_ids))
-    if aggregation != "pairwise":
-        raise ValueError(f"unknown aggregation {aggregation!r}")
-    by_domain = [[style_maps[int(i)] for i in idx]
-                 for idx in _bona_fide_rows_by_domain(labels, domain_ids)]
-    return _mean_tsr([(ga, gb) for da, db in combinations(by_domain, 2)
-                      for ga in da for gb in db])
+    return tsr_average(grids)
 
 
 def binary_cross_entropy_with_logits(logits: Tensor, labels) -> Tensor:

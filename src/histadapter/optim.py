@@ -6,6 +6,8 @@ import numpy as np
 
 __all__ = ["Adam"]
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class Adam:
     """Updates the tensors it was given; anything else stays untouched.
@@ -18,13 +20,9 @@ class Adam:
     between steps (accumulation across uses within a step is intended).
     """
 
-    def __init__(self, params: dict, lr: float = 1e-4,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict, lr: float = 1e-4):
         self.params = dict(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = {name: np.zeros(p.shape) for name, p in self.params.items()}
         self._v = {name: np.zeros(p.shape) for name, p in self.params.items()}
@@ -35,16 +33,16 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        correction1 = 1.0 - self.beta1 ** self.t
-        correction2 = 1.0 - self.beta2 ** self.t
+        correction1 = 1.0 - BETA1 ** self.t
+        correction2 = 1.0 - BETA2 ** self.t
         for name, p in self.params.items():
             g = 0.0 if p.grad is None else p.grad
             m = self._m[name]
             v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
             m_hat = m / correction1
             v_hat = v / correction2
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + EPS)

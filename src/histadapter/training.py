@@ -86,8 +86,7 @@ def train_run(cfg: RunConfig, out_dir=None) -> TrainResult:
             logits = model.forward(Tensor(images[idx]))
             bce = binary_cross_entropy_with_logits(logits, labels[idx])
             if cfg.tsr_lambda > 0:
-                tsr = batch_tsr(model.style_map, labels[idx], domains[idx],
-                                cfg.tsr_aggregation)
+                tsr = batch_tsr(model.style_map, labels[idx], domains[idx])
             else:
                 tsr = Tensor(np.zeros(()))
             loss = total_loss(bce, tsr, cfg.tsr_lambda)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from histadapter import autodiff as ad
-from histadapter.adapter import HistAdapter, insert_into_block
+from histadapter.adapter import HistAdapter
 from histadapter.autodiff import ShapeError, Tensor
 from histadapter.nn import Linear, prefixed, set_trainable
 
@@ -80,8 +80,8 @@ class ViTBlock:
         self.msa_adapter: HistAdapter | None = None
         self.mlp_adapter: HistAdapter | None = None
 
-    def _attention(self, x: Tensor):
-        """Multi-head attention on (B, N, d) tokens; returns (context, weights)."""
+    def mhsa(self, x: Tensor) -> Tensor:
+        """Multi-head self-attention on (B, N, d) tokens (projection included, no residual)."""
         if x.ndim != 3 or x.shape[-1] != self.cfg.width:
             raise ShapeError(f"block expects (B, N, {self.cfg.width}) tokens, got {x.shape}")
         b, n, d = x.shape
@@ -95,14 +95,7 @@ class ViTBlock:
         scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
         att = ad.softmax_lastdim(scores)
         ctx = ad.transpose(ad.matmul(att, v), (0, 2, 1, 3))
-        return ad.reshape(ctx, (b, n, d)), att
-
-    def mhsa(self, x: Tensor) -> Tensor:
-        """Self-attention sublayer (projection included, no residual)."""
-        return self.proj(self._attention(x)[0])
-
-    def attention_weights(self, x: Tensor) -> np.ndarray:
-        return self._attention(x)[1].data
+        return self.proj(ad.reshape(ctx, (b, n, d)))
 
     def _attend(self, x: Tensor) -> Tensor:
         return ad.add(x, self.mhsa(ad.layernorm(x, self.ln1_gain, self.ln1_shift)))
@@ -212,10 +205,10 @@ class VisionTransformer:
         The classification head stays trainable: with a randomly initialized
         (never pre-trained) backbone a frozen head could not classify.
         """
+        args = (self.cfg.width, rng, adapter_dim, theta, variant, fusion)
         for block in self.blocks:
-            a_msa = HistAdapter(self.cfg.width, rng, adapter_dim, theta, variant, fusion)
-            a_mlp = HistAdapter(self.cfg.width, rng, adapter_dim, theta, variant, fusion)
-            insert_into_block(block, a_msa, a_mlp)
+            block.msa_adapter = HistAdapter(*args)
+            block.mlp_adapter = HistAdapter(*args)
         set_trainable(self.backbone_parameters(), False)
         set_trainable(self.head.parameters(), True)
 

@@ -263,6 +263,22 @@ class TestBackward:
         ad.sum_all(ad.scale(x, 2.0)).backward()
         assert np.array_equal(x.grad, [2.0, 2.0, 2.0])
 
+    def test_basic_index_scatters_gradient(self):
+        x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
+        out = x[1:, None, ..., np.int64(2)]
+        assert out.shape == (2, 1)
+        ad.sum_all(out).backward()
+        assert np.array_equal(x.grad, [[0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 1, 0]])
+
+    def test_array_index_rejected_for_take_rows(self):
+        x = Tensor(np.ones((3, 2)), requires_grad=True)
+        for idx in (np.array([0, 0, 2]), [0, 0, 2], (0, [1, 1]), np.array([True, False, True])):
+            with pytest.raises(ShapeError, match="take_rows"):
+                x[idx]
+        # the gather that accumulates a repeated row's gradient
+        ad.sum_all(ad.take_rows(x, [0, 0, 2])).backward()
+        assert np.array_equal(x.grad, [[2, 2], [0, 0], [1, 1]])
+
 
 class TestNoGrad:
     def test_grad_enabled_reports_the_mode(self):

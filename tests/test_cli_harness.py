@@ -49,9 +49,14 @@ class TestConfig:
         cfg = load_config(path, {"theta": "0.9"})
         assert cfg.theta == 0.9 and cfg.seed == 3
 
-    def test_unknown_key_rejected(self):
+    def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown config key"):
             load_config(None, {"thetaa": "0.5"})
+        # a config.txt from an older run that still names the TSR aggregation
+        old = tmp_path / "config.txt"
+        old.write_text(RunConfig().to_text() + "tsr_aggregation=domain\n")
+        with pytest.raises(ValueError, match="unknown config key 'tsr_aggregation'"):
+            load_config(old)
 
     @pytest.mark.parametrize("bad", [
         {"theta": "1.5"}, {"lambda": "-1"}, {"held_out": "7"},
@@ -86,7 +91,6 @@ class TestConfig:
             adapter_dim=data.draw(counts),
             theta=data.draw(st.floats(0, 1)),
             tsr_lambda=data.draw(st.floats(min_value=0, allow_infinity=False)),
-            tsr_aggregation=data.draw(st.sampled_from(["domain", "pairwise"])),
             lr=data.draw(positive),
             epochs=data.draw(counts),
             batch_size=data.draw(counts),

@@ -170,6 +170,5 @@ def test_one_toy_training_step_builds_under_200_grad_ops():
     idx = next(training._batches(len(split.train.labels), cfg.batch_size, shuffle_rng))
     logits = model.forward(Tensor(split.train.images.data[idx]))
     bce = binary_cross_entropy_with_logits(logits, split.train.labels[idx])
-    tsr = batch_tsr(model.style_map, split.train.labels[idx], split.train.domain_ids[idx],
-                    cfg.tsr_aggregation)
+    tsr = batch_tsr(model.style_map, split.train.labels[idx], split.train.domain_ids[idx])
     assert grad_ops(total_loss(bce, tsr, cfg.tsr_lambda)) < 200

@@ -7,7 +7,6 @@ from histadapter.losses import (
     batch_tsr,
     binary_cross_entropy_with_logits,
     gram,
-    group_bona_fide_by_domain,
     total_loss,
     tsr_average,
     tsr_pair,
@@ -100,16 +99,11 @@ class TestBatchTsr:
         rng = np.random.default_rng(8)
         maps, labels, domains = self._batch(
             rng, [0, 1, 0, 1, 0, 1], [0, 0, 1, 1, 2, 2])
-        for aggregation in ("domain", "pairwise"):
-            maps.zero_grad()
-            out = batch_tsr(maps, labels, domains, aggregation)
-            assert out.data > 0
-            out.backward()
-            grads = maps.grad
-            attack_rows = grads[labels == 1]
-            bona_rows = grads[labels == 0]
-            assert np.all(attack_rows == 0.0)
-            assert np.any(bona_rows != 0.0)
+        out = batch_tsr(maps, labels, domains)
+        assert out.data > 0
+        out.backward()
+        assert np.all(maps.grad[labels == 1] == 0.0)
+        assert np.any(maps.grad[labels == 0] != 0.0)
 
     def test_degenerate_batches_zero(self):
         rng = np.random.default_rng(9)
@@ -118,10 +112,16 @@ class TestBatchTsr:
         assert float(batch_tsr(maps, labels, domains).data) == 0.0
 
     def test_domain_grouping_pools_rows(self):
-        rng = np.random.default_rng(10)
-        maps, labels, domains = self._batch(rng, [0, 0, 0], [1, 1, 2])
-        grids = group_bona_fide_by_domain(maps, labels, domains)
-        assert [g.shape for g in grids] == [(3, 4, 2), (3, 2, 2)]
+        # domains out of order; domain 4 holds only an attack. With this seed the
+        # pair-sum order shows in the last bit, so descending domains would fail.
+        rng = np.random.default_rng(20)
+        maps, labels, domains = self._batch(
+            rng, [0, 1, 0, 0, 1, 0, 1, 0, 0, 1], [2, 0, 1, 2, 1, 0, 3, 1, 3, 4])
+        # each domain's bona fide maps stacked along rows, domains ascending
+        pooled = [Tensor(np.concatenate(maps.data[rows], axis=1))
+                  for rows in ([5], [2, 7], [0, 3], [8])]
+        assert [p.shape for p in pooled] == [(3, 2, 2), (3, 4, 2), (3, 4, 2), (3, 2, 2)]
+        assert batch_tsr(maps, labels, domains).data == tsr_average(pooled).data
 
     def test_fd_gradient(self):
         rng = np.random.default_rng(11)

@@ -32,16 +32,9 @@ class TestAttention:
     def test_single_token_attention_is_identity_weight(self):
         cfg = ViTConfig(depth=1, width=8, heads=2, patch=8, image=8)
         block = ViTBlock(cfg, np.random.default_rng(0))
-        att = block.attention_weights(Tensor(np.random.default_rng(1).standard_normal((1, 1, 8))))
-        assert att.shape == (1, 2, 1, 1)
-        assert np.allclose(att, 1.0, atol=1e-15)
-
-    def test_rows_sum_to_one(self):
-        cfg = PRESETS["toy"]
-        block = ViTBlock(cfg, np.random.default_rng(2))
-        att = block.attention_weights(
-            Tensor(np.random.default_rng(3).standard_normal((2, 17, 64))))
-        assert np.all(np.abs(att.sum(axis=-1) - 1.0) <= 1e-10)
+        x = Tensor(np.random.default_rng(1).standard_normal((1, 1, 8)))
+        # one token attends only to itself, with weight exactly 1
+        assert np.array_equal(block.mhsa(x).data, block.proj(block.wv(x)).data)
 
     def test_uniform_attention_averages_values(self):
         cfg = ViTConfig(depth=1, width=6, heads=1, patch=8, image=24)
@@ -64,8 +57,6 @@ class TestAttention:
         x = Tensor(np.zeros(shape))
         with pytest.raises(ShapeError, match="tokens"):
             block.mhsa(x)
-        with pytest.raises(ShapeError, match="tokens"):
-            block.attention_weights(x)
 
 
 class TestForward:

@@ -1,15 +1,14 @@
 """Byte fingerprints of training and gradcheck outputs, the identity check for refactors.
 
 Trains three epochs of ``configs/ablation.cfg`` for every variant x fusion
-pair, plus ``full``/``sum`` with pairwise TSR, plus three runs with TSR off
-(``lambda=0``, where the last block computes only the class row after
-attention), plus ``full``/``sum`` at batch size 4 (some of its batches hold
-a bona fide example from fewer than two domains, so their TSR is a constant
-and reaches no parameter), and prints the sha256 of each run's
-``model.ckpt`` and ``train_log.csv``. The last row is the sha256 of the
-CSV that ``histadapter gradcheck --out`` writes. A change that alters no
-float operation prints the same rows as its parent. Run from the repository
-root (about 40 s on one core):
+pair, plus three runs with TSR off (``lambda=0``, where the last block
+computes only the class row after attention), plus ``full``/``sum`` at
+batch size 4 (some of its batches hold a bona fide example from fewer than
+two domains, so their TSR is a constant and reaches no parameter), and
+prints the sha256 of each run's ``model.ckpt`` and ``train_log.csv``. The
+last row is the sha256 of the CSV that ``histadapter gradcheck --out``
+writes. A change that alters no float operation prints the same rows as
+its parent. Run from the repository root (about 40 s on one core):
 
     PYTHONPATH=src python3 tools/fingerprints.py
 """
@@ -38,7 +37,6 @@ def sha256(path: Path) -> str:
 def main() -> None:
     runs = [(f"{v}/{f}/domain", {"variant": v, "fusion": f})
             for v in VARIANTS for f in FUSIONS]
-    runs.append(("full/sum/pairwise", {"tsr_aggregation": "pairwise"}))
     runs += [(f"{v}/{f}/lambda=0", {"variant": v, "fusion": f, "lambda": 0})
              for v, f in (("full", "sum"), ("vanilla_linear", "sum"), ("full", "concat"))]
     runs.append(("full/sum/batch_size=4", {"batch_size": 4}))
