@@ -14,7 +14,7 @@ rng = np.random.default_rng(0)
 x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
 w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
 
-loss = ad.mean_all(ad.gelu(ad.matmul(x, w)))
+loss = ad.sum_all(ad.gelu(ad.matmul(x, w)))
 loss.backward()
 print("loss                 :", float(loss.data))
 print("x.grad shape         :", x.grad.shape)
@@ -38,6 +38,6 @@ k = Tensor(rng.standard_normal((3, 2, 3, 3)))
 bias = Tensor(np.zeros(3))
 readout = Tensor(rng.standard_normal((1, 3, 5, 5)))
 report = finite_difference_check(
-    lambda t: ad.sum_all(ad.mul(ad.conv2d(t, k, bias), readout)),
-    x, op_name="conv2d")
+    lambda t: ad.sum_all(ad.mul(ad.cdc_conv(t, k, bias, 0.7), readout)),
+    x, op_name="cdc_conv")
 print(report)

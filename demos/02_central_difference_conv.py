@@ -6,7 +6,6 @@ Run:  python demos/02_central_difference_conv.py
 
 import numpy as np
 
-from histadapter import autodiff as ad
 from histadapter.autodiff import Tensor
 from histadapter.cdc import CdcConv
 
@@ -31,14 +30,18 @@ diff_only = layer_pure_diff.forward_tensor(Tensor(flat)).data
 print("\nconstant input, theta=1 output is exactly zero:",
       bool(np.all(diff_only == 0.0)))
 
-# theta=0 reduces to the plain convolution bit for bit
-plain = ad.conv2d(Tensor(x), layer.kernel, layer.bias).data
-layer.theta = 0.0
-print("theta=0 equals conv2d bit-exactly          :",
-      bool(np.array_equal(layer.forward_tensor(Tensor(x)).data, plain)))
+# theta blends the plain convolution (theta=0) with the pure difference
+# term (theta=1), bit for bit
+ends = {}
+for theta in (0.0, 1.0):
+    layer.theta = theta
+    ends[theta] = layer.forward_tensor(Tensor(x)).data
+layer.theta = 0.7
+blend = layer.forward_tensor(Tensor(x)).data
+print("theta=0.7 is 0.3 x (theta=0) + 0.7 x (theta=1) bit-exactly:",
+      bool(np.array_equal(blend, ends[0.0] * (1 - 0.7) + ends[1.0] * 0.7)))
 
 # sweep theta: difference share grows, smooth share shrinks
-layer.theta = 0.7
 print("\n  theta   |output|_F")
 for theta in (0.0, 0.3, 0.5, 0.7, 0.9):
     layer.theta = theta

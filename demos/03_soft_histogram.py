@@ -30,7 +30,7 @@ print("analytic (8 + e^-1) / 9    :", (8 + np.exp(-1.0)) / 9)
 # gradients make the bin parameters trainable
 x = Tensor(np.random.default_rng(2).standard_normal((1, 1, 4, 4)), requires_grad=True)
 from histadapter import autodiff as ad
-loss = ad.mean_all(layer.forward_tensor(x))
+loss = ad.sum_all(layer.forward_tensor(x))
 loss.backward()
 print("\nd loss / d mu   :", layer.mu.grad)
 print("d loss / d gamma:", layer.gamma.grad)

@@ -1,15 +1,15 @@
-"""Dense tensors with reverse-mode differentiation on top of numpy.
+"""Dense float64 tensors with reverse-mode differentiation on top of numpy.
 
-Every operation the adapter pipeline composes lives here: elementwise
-arithmetic, matrix products, 2D convolution, the central-difference term,
-windowed sums for histogram pooling, activations, norms, and a finite
-difference gradient checker that every backward rule is validated against.
+Every operation the model composes lives here: elementwise arithmetic,
+matrix products, reshapes and gathers, activations, norms, reductions, and
+a finite difference gradient checker that every backward rule is
+validated against.
 
 The layers call three fused ops, each one graph node with a hand-written
 backward: :func:`linear`, :func:`cdc_conv` and :func:`soft_histogram`.
 Each runs the same float operations, in the same order, as the chain of
 primitives it replaces, so results and gradients equal the chain's bit
-for bit; the primitives stay as references.
+for bit; ``tests/reference_ops.py`` holds those chains.
 
 Conventions:
   * convolution is cross-correlation (no kernel flip), stride 1, zero
@@ -20,7 +20,8 @@ Conventions:
   * add, sub and mul broadcast one operand into the other's shape by
     numpy's rules; a pair that would broadcast to a third shape is
     rejected,
-  * tests run in 64-bit floats so finite differences have headroom.
+  * data and gradients are 64-bit floats, so finite differences have
+    headroom.
 """
 
 from __future__ import annotations
@@ -43,21 +44,14 @@ __all__ = [
     "sub",
     "mul",
     "scale",
-    "neg",
     "matmul",
     "linear",
-    "conv2d",
-    "central_difference_term",
     "cdc_conv",
-    "window_sum3x3",
-    "pad2d",
     "soft_histogram",
-    "exp",
     "gelu",
     "softmax_lastdim",
     "layernorm",
     "sum_all",
-    "mean_all",
     "frobenius_sq",
     "reshape",
     "transpose",
@@ -70,7 +64,6 @@ __all__ = [
     "finite_difference_check",
 ]
 
-_FLOAT_TYPES = (np.float32, np.float64)
 _BASIC_INDEX = (int, np.integer, slice, type(None), type(Ellipsis))
 LAYERNORM_EPS = 1e-5
 
@@ -82,8 +75,8 @@ class ShapeError(ValueError):
 class Tensor:
     """n-dimensional real array that records the ops producing it.
 
-    ``data`` is a numpy float array (float64 unless the caller passes
-    float32). ``grad`` stays ``None`` until a backward pass reaches the
+    ``data`` is a float64 numpy array; other input is converted, float32
+    included. ``grad`` stays ``None`` until a backward pass reaches the
     tensor; it then holds an array of the same shape. Tensors created
     with ``requires_grad=False`` never participate in graphs and are
     safe to share across threads.
@@ -92,10 +85,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data)
-        if arr.dtype not in _FLOAT_TYPES:
-            arr = arr.astype(np.float64)
-        self.data = arr
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents: tuple = ()
@@ -225,9 +215,7 @@ def graph_op(data: np.ndarray, parents: Sequence[Tensor], backward: Callable) ->
 
 
 def _lift(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=np.float64))
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _check_elementwise(a: Tensor, b: Tensor, name: str) -> None:
@@ -312,10 +300,6 @@ def scale(a: Tensor, s: float) -> Tensor:
     return graph_op(a.data * s, (a,), backward)
 
 
-def neg(a: Tensor) -> Tensor:
-    return scale(a, -1.0)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product on the last two axes.
 
@@ -397,38 +381,6 @@ def _check_conv(name: str, x: Tensor, kernel: Tensor) -> None:
         raise ShapeError(f"{name} needs a (B, {cin}, H, W) input for this kernel, got {x.shape}")
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
-    """2D cross-correlation, stride 1, zero padding kh//2, kw//2, plus a bias.
-
-    ``x`` is (B, Cin, H, W), ``kernel`` (Cout, Cin, kh, kw) with odd kh, kw
-    and ``bias`` (Cout,); the output is (B, Cout, H, W). The reference for
-    the conv term of :func:`cdc_conv`.
-    """
-    x, kernel, bias = _lift(x), _lift(kernel), _lift(bias)
-    _check_conv("conv2d", x, kernel)
-    cout, _, kh, kw = kernel.shape
-    if bias.shape != (cout,):
-        raise ShapeError(f"conv2d bias must have shape ({cout},), got {bias.shape}")
-    _, _, h, w = x.shape
-    ph, pw = kh // 2, kw // 2
-
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))  # (B,Cin,H,W,kh,kw)
-    out = np.tensordot(windows, kernel.data, axes=([1, 4, 5], [1, 2, 3]))
-    out = np.moveaxis(out, 3, 1) + bias.data[:, None, None]  # (B, Cout, H, W)
-
-    def backward(g):
-        if kernel.requires_grad:
-            accumulate_grad(kernel, np.tensordot(g, windows, axes=([0, 2, 3], [0, 2, 3])))
-        if bias.requires_grad:
-            accumulate_grad(bias, g.sum(axis=(0, 2, 3)))
-        if x.requires_grad:
-            taps = np.tensordot(g, kernel.data, axes=([1], [0]))
-            accumulate_grad(x, _scatter_taps(taps, xp.shape)[:, :, ph:ph + h, pw:pw + w])
-
-    return graph_op(out, (x, kernel, bias), backward)
-
-
 _VALID_TAP_CACHE: dict = {}
 
 
@@ -446,55 +398,20 @@ def _valid_taps(h: int, w: int, kh: int, kw: int) -> np.ndarray:
     return mask
 
 
-def central_difference_term(x: Tensor, kernel: Tensor) -> Tensor:
-    """Kernel-weighted sum of differences between each 3x3 neighbor and the center.
-
-    out[b,o,h,w] = sum over in-grid taps p of kernel[o,i,p] * (x[b,i,p] - x[b,i,h,w]),
-    summed over input channels i, for a (B, Cin, H, W) input. Neighbors
-    that fall outside the grid are excluded, so a spatially constant input
-    yields an exactly zero output (each retained term is built from a
-    literal zero difference). Stride 1, shape preserving.
-    """
-    x, kernel = _lift(x), _lift(kernel)
-    _check_conv("central_difference_term", x, kernel)
-    _, _, kh, kw = kernel.shape
-    _, _, h, w = x.shape
-    ph, pw = kh // 2, kw // 2
-
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))  # (B,Cin,H,W,kh,kw)
-    mask = _valid_taps(h, w, kh, kw)
-    diffs = (windows - x.data[:, :, :, :, None, None]) * mask
-    out = np.tensordot(diffs, kernel.data, axes=([1, 4, 5], [1, 2, 3]))
-    out = np.moveaxis(out, 3, 1)  # (B, Cout, H, W)
-
-    def backward(g):
-        if kernel.requires_grad:
-            accumulate_grad(
-                kernel, np.tensordot(g, diffs, axes=([0, 2, 3], [0, 2, 3]))
-            )
-        if x.requires_grad:
-            # (B, H, W, Cin, kh, kw), masked like the forward differences
-            gdiff = np.tensordot(g, kernel.data, axes=([1], [0])) \
-                * mask[:, :, None, :, :]
-            gx = _scatter_taps(gdiff, xp.shape)[:, :, ph:ph + h, pw:pw + w]
-            gx -= gdiff.sum(axis=(4, 5)).transpose(0, 3, 1, 2)
-            accumulate_grad(x, gx)
-
-    return graph_op(out, (x, kernel), backward)
-
-
 def cdc_conv(x: Tensor, kernel: Tensor, bias: Tensor, theta: float) -> Tensor:
     """Central-difference convolution as one node:
-    ``(1 - theta) * conv2d(x, kernel, bias) + theta * central_difference_term(x, kernel)``.
+    ``(1 - theta) * conv(x, kernel, bias) + theta * difference_term(x, kernel)``.
 
-    Stride 1 with zero padding kh//2, kw//2, so the (B, Cin, H, W) grid
-    keeps its shape. One padded copy and one im2col matrix serve both
-    terms. Forward and backward run the same float operations as the chain
-    :func:`conv2d`, :func:`central_difference_term`, :func:`scale`,
-    :func:`add`, so results are bit-identical to it; at ``theta == 0`` the
-    difference term is skipped and the result equals
-    ``conv2d(x, kernel, bias)``.
+    The conv term is a cross-correlation plus bias; the difference term
+    sums kernel-weighted differences between each in-grid neighbor and the
+    center, so it is exactly zero on a constant input. Stride 1 with zero
+    padding kh//2, kw//2, so the (B, Cin, H, W) grid keeps its shape. One
+    padded copy and one im2col matrix serve both terms. Forward and
+    backward run the same float operations as ``cdc_chain`` in
+    ``tests/reference_ops.py`` (``conv2d``, ``central_difference_term``,
+    :func:`scale`, :func:`add`), so results are bit-identical to it; at
+    ``theta == 0`` the difference term is skipped and the result equals the
+    conv term alone.
     """
     x, kernel, bias = _lift(x), _lift(kernel), _lift(bias)
     _check_conv("cdc_conv", x, kernel)
@@ -541,54 +458,15 @@ def cdc_conv(x: Tensor, kernel: Tensor, bias: Tensor, theta: float) -> Tensor:
     return graph_op(out, (x, kernel, bias), backward)
 
 
-def window_sum3x3(x: Tensor) -> Tensor:
-    """Valid-mode sum over every 3x3 window of the last two axes.
-
-    (..., H, W) -> (..., H-2, W-2). Callers wanting shape preservation pad
-    first with :func:`pad2d`.
-    """
-    x = _lift(x)
-    if x.ndim < 2 or x.shape[-1] < 3 or x.shape[-2] < 3:
-        raise ShapeError(f"window_sum3x3 needs trailing extents >= 3, got {x.shape}")
-    h_out, w_out = x.shape[-2] - 2, x.shape[-1] - 2
-    out = np.zeros(x.shape[:-2] + (h_out, w_out), dtype=x.data.dtype)
-    for dh in range(3):
-        for dw in range(3):
-            out += x.data[..., dh:dh + h_out, dw:dw + w_out]
-
-    def backward(g):
-        gx = np.zeros(x.shape, dtype=x.data.dtype)
-        for dh in range(3):
-            for dw in range(3):
-                gx[..., dh:dh + h_out, dw:dw + w_out] += g
-        accumulate_grad(x, gx)
-
-    return graph_op(out, (x,), backward)
-
-
-def pad2d(x: Tensor, pad: int) -> Tensor:
-    """Zero-pad the last two axes by ``pad`` on every side."""
-    x = _lift(x)
-    if x.ndim < 2:
-        raise ShapeError(f"pad2d needs at least 2 axes, got {x.shape}")
-    width = [(0, 0)] * (x.ndim - 2) + [(pad, pad), (pad, pad)]
-    h, w = x.shape[-2], x.shape[-1]
-
-    def backward(g):
-        accumulate_grad(x, g[..., pad:pad + h, pad:pad + w])
-
-    return graph_op(np.pad(x.data, width), (x,), backward)
-
-
 def soft_histogram(z: Tensor, mu: Tensor, gamma: Tensor) -> Tensor:
     """Soft-binned 3x3 histogram pooling as one node.
 
     For channel c the response at (h, w) is the mean over the zero-padded
     3x3 window of ``exp(-(gamma_c * (z - mu_c))^2)``; ``z`` is (B, C, H, W)
     and ``mu``, ``gamma`` are (C,). Forward and backward run the same float
-    operations as the chain :func:`pad2d`, :func:`sub`, :func:`mul`,
-    :func:`exp`, :func:`neg`, :func:`window_sum3x3`, :func:`scale`, so
-    results are bit-identical to it.
+    operations as ``histogram_chain`` in ``tests/reference_ops.py``
+    (``pad2d``, :func:`sub`, :func:`mul`, ``exp``, :func:`scale`,
+    ``window_sum3x3``), so results are bit-identical to it.
     """
     z, mu, gamma = _lift(z), _lift(mu), _lift(gamma)
     if z.ndim != 4:
@@ -627,16 +505,6 @@ def soft_histogram(z: Tensor, mu: Tensor, gamma: Tensor) -> Tensor:
             accumulate_grad(z, gc[..., 1:1 + h, 1:1 + w])
 
     return graph_op(pooled * inv_window, (z, mu, gamma), backward)
-
-
-def exp(x: Tensor) -> Tensor:
-    x = _lift(x)
-    y = np.exp(x.data)
-
-    def backward(g):
-        accumulate_grad(x, g * y)
-
-    return graph_op(y, (x,), backward)
 
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -705,16 +573,6 @@ def sum_all(x: Tensor) -> Tensor:
         accumulate_grad(x, np.full(x.shape, float(g), dtype=x.data.dtype))
 
     return graph_op(np.asarray(x.data.sum()), (x,), backward)
-
-
-def mean_all(x: Tensor) -> Tensor:
-    x = _lift(x)
-    n = x.size
-
-    def backward(g):
-        accumulate_grad(x, np.full(x.shape, float(g) / n, dtype=x.data.dtype))
-
-    return graph_op(np.asarray(x.data.mean()), (x,), backward)
 
 
 def frobenius_sq(x: Tensor) -> Tensor:

@@ -37,64 +37,6 @@ def _merge(name: str, reports, tolerance: float) -> GradCheckReport:
     return GradCheckReport(name, worst, total, worst < tolerance)
 
 
-def _elementwise_checks(rng, instances):
-    cases = {
-        "add": lambda a, b: ad.add(a, b),
-        "sub": lambda a, b: ad.sub(a, b),
-        "mul": lambda a, b: ad.mul(a, b),
-        "scale": lambda a, b: ad.scale(a, 0.73),
-    }
-    for name, op in cases.items():
-        reports = []
-        for _ in range(instances):
-            shape = (3, 4)
-            head = _readout(rng, shape)
-            other = Tensor(rng.standard_normal(shape))
-            x = Tensor(rng.standard_normal(shape), requires_grad=True)
-            reports.append(finite_difference_check(
-                lambda t: head(op(t, other)), x, op_name=name))
-        yield _merge(name, reports, OP_TOLERANCE)
-
-
-def _unary_checks(rng, instances):
-    cases = {
-        "exp": (ad.exp, (3, 4)),
-        "gelu": (ad.gelu, (3, 4)),
-        "softmax_lastdim": (ad.softmax_lastdim, (4, 5)),
-        "window_sum3x3": (lambda t: ad.window_sum3x3(ad.pad2d(t, 1)), (2, 4, 5)),
-        "reindexings": (
-            lambda t: ad.take_rows(
-                ad.reshape(ad.transpose(ad.pad2d(t, 1), (0, 2, 1)), (14, 7))[2:9],
-                [0, 3, 3, 5],
-            ),
-            (2, 5, 5),
-        ),
-    }
-    for name, (op, shape) in cases.items():
-        reports = []
-        for _ in range(instances):
-            x = Tensor(rng.standard_normal(shape), requires_grad=True)
-            probe = op(Tensor(x.data.copy()))
-            head = _readout(rng, probe.shape)
-            reports.append(finite_difference_check(
-                lambda t: head(op(t)), x, op_name=name))
-        yield _merge(name, reports, OP_TOLERANCE)
-
-
-def _scalar_checks(rng, instances):
-    cases = {
-        "sum_all": ad.sum_all,
-        "mean_all": ad.mean_all,
-        "frobenius_sq": ad.frobenius_sq,
-    }
-    for name, op in cases.items():
-        reports = []
-        for _ in range(instances):
-            x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-            reports.append(finite_difference_check(op, x, op_name=name))
-        yield _merge(name, reports, OP_TOLERANCE)
-
-
 def _standard_normals(rng, shapes):
     return [rng.standard_normal(s) for s in shapes]
 
@@ -122,48 +64,6 @@ def _argument_checks(rng, instances, op, names, shapes, draw=_standard_normals,
         yield _merge(name, reports, OP_TOLERANCE)
 
 
-def _operand_checks(rng, instances):
-    yield from _argument_checks(rng, instances, ad.matmul,
-                                ("matmul/lhs", "matmul/rhs"), ((3, 4), (4, 2)))
-    yield from _argument_checks(
-        rng, instances, ad.conv2d,
-        ("conv2d/input", "conv2d/kernel", "conv2d/bias"), ((1, 2, 5, 5), (3, 2, 3, 3), (3,)))
-    yield from _argument_checks(
-        rng, instances, ad.central_difference_term,
-        ("central_difference/input", "central_difference/kernel"),
-        ((1, 2, 5, 5), (3, 2, 3, 3)))
-    yield from _argument_checks(
-        rng, instances, ad.layernorm,
-        ("layernorm/input", "layernorm/gain", "layernorm/shift"), ((4, 6), (6,), (6,)))
-
-
-def _objective_checks(rng, instances):
-    reports = []
-    for _ in range(instances):
-        logits = Tensor(rng.standard_normal((6, 2)), requires_grad=True)
-        labels = rng.integers(0, 2, 6)
-        reports.append(finite_difference_check(
-            lambda t: binary_cross_entropy_with_logits(t, labels),
-            logits, op_name="bce_with_logits"))
-    yield _merge("bce_with_logits", reports, OP_TOLERANCE)
-
-    reports = []
-    for _ in range(instances):
-        z = Tensor(rng.standard_normal((3, 4, 4)), requires_grad=True)
-        head = _readout(rng, (3, 3))
-        reports.append(finite_difference_check(
-            lambda t: head(gram(t)), z, op_name="gram"))
-    yield _merge("gram", reports, OP_TOLERANCE)
-
-    reports = []
-    for _ in range(instances):
-        z1 = Tensor(rng.standard_normal((3, 4, 4)), requires_grad=True)
-        z2 = Tensor(rng.standard_normal((3, 4, 4)))
-        reports.append(finite_difference_check(
-            lambda t: tsr_pair(t, z2), z1, op_name="tsr_pair"))
-    yield _merge("tsr_pair", reports, OP_TOLERANCE)
-
-
 def _composed_adapter_checks(rng):
     """End-to-end check through the full adapter at composed tolerance."""
     model_dim, adapter_dim, side = 16, 4, 3
@@ -186,22 +86,6 @@ def _composed_adapter_checks(rng):
         yield finite_difference_check(lambda t, p=param: run(fixed),
                                       param, tolerance=COMPOSED_TOLERANCE,
                                       op_name=f"adapter/{name}")
-
-
-def _fused_checks(rng, instances):
-    """Each operand of the one-node ops the layers call (drawn last, so every
-    earlier check keeps its random draws)."""
-    yield from _argument_checks(rng, instances, ad.linear,
-                                ("linear/input", "linear/weight", "linear/bias"),
-                                ((2, 3, 4), (4, 2), (2,)))
-    yield from _argument_checks(
-        rng, instances, lambda x, k, b: ad.cdc_conv(x, k, b, 0.7),
-        ("cdc_conv/input", "cdc_conv/kernel", "cdc_conv/bias"),
-        ((2, 2, 4, 4), (3, 2, 3, 3), (3,)))
-    yield from _argument_checks(
-        rng, instances, ad.soft_histogram,
-        ("soft_histogram/input", "soft_histogram/mu", "soft_histogram/gamma"),
-        ((2, 3, 4, 4), (3,), (3,)), draw=_histogram_operands, readout=_positive_readout)
 
 
 def _histogram_operands(rng, shapes):
@@ -229,15 +113,44 @@ def _positive_readout(rng, shape):
     return head
 
 
+# (op, operand names, operand shapes[, draw, readout]): one row per operand,
+# named "<op>/<operand>", or "<op>" for an op of one operand
+CHECKS = [
+    (ad.add, ("add/lhs", "add/rhs"), ((3, 4), (4,))),
+    (ad.sub, ("sub/lhs", "sub/rhs"), ((3, 4), (4,))),
+    (ad.mul, ("mul/lhs", "mul/rhs"), ((3, 4), (4,))),
+    (lambda a: ad.scale(a, 0.73), ("scale",), ((3, 4),)),
+    (ad.matmul, ("matmul/lhs", "matmul/rhs"), ((3, 4), (4, 2))),
+    (ad.linear, ("linear/input", "linear/weight", "linear/bias"), ((2, 3, 4), (4, 2), (2,))),
+    (lambda x, k, b: ad.cdc_conv(x, k, b, 0.7),
+     ("cdc_conv/input", "cdc_conv/kernel", "cdc_conv/bias"),
+     ((2, 2, 4, 4), (3, 2, 3, 3), (3,))),
+    (ad.soft_histogram, ("soft_histogram/input", "soft_histogram/mu", "soft_histogram/gamma"),
+     ((2, 3, 4, 4), (3,), (3,)), _histogram_operands, _positive_readout),
+    (ad.gelu, ("gelu",), ((3, 4),)),
+    (ad.softmax_lastdim, ("softmax_lastdim",), ((4, 5),)),
+    (ad.layernorm, ("layernorm/input", "layernorm/gain", "layernorm/shift"),
+     ((4, 6), (6,), (6,))),
+    (ad.sum_all, ("sum_all",), ((3, 4),)),
+    (ad.frobenius_sq, ("frobenius_sq",), ((3, 4),)),
+    (lambda t: ad.reshape(t, (4, 3)), ("reshape",), ((3, 4),)),
+    (lambda t: ad.transpose(t, (2, 0, 1)), ("transpose",), ((2, 3, 4),)),
+    (lambda a, b: ad.concat([a, b], axis=1), ("concat/lhs", "concat/rhs"),
+     ((2, 3, 4), (2, 1, 4))),
+    (lambda t: ad.take_rows(t, [0, 3, 3, 1]), ("take_rows",), ((4, 3),)),
+    (lambda t: t[1:, None, ..., 2], ("index",), ((3, 4, 5),)),
+    (lambda t: binary_cross_entropy_with_logits(t, [0, 1, 1, 0, 1, 0]),
+     ("bce_with_logits",), ((6, 2),)),
+    (gram, ("gram",), ((3, 4, 4),)),
+    (tsr_pair, ("tsr_pair/lhs", "tsr_pair/rhs"), ((3, 4, 4), (3, 4, 4))),
+]
+
+
 def run_gradient_checks(instances_per_op: int = 5, seed: int = 0) -> list:
-    """All per-op checks plus the composed-adapter checks, as reports."""
+    """Every per-op check of :data:`CHECKS`, then the composed-adapter checks, as reports."""
     rng = np.random.default_rng(np.random.SeedSequence([41, seed]))
     reports = []
-    reports.extend(_elementwise_checks(rng, instances_per_op))
-    reports.extend(_unary_checks(rng, instances_per_op))
-    reports.extend(_scalar_checks(rng, instances_per_op))
-    reports.extend(_operand_checks(rng, instances_per_op))
-    reports.extend(_objective_checks(rng, instances_per_op))
+    for check in CHECKS:
+        reports.extend(_argument_checks(rng, instances_per_op, *check))
     reports.extend(_composed_adapter_checks(rng))
-    reports.extend(_fused_checks(rng, instances_per_op))
     return reports

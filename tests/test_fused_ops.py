@@ -2,10 +2,10 @@
 
 ``linear``, ``cdc_conv`` and ``soft_histogram`` each build one graph node
 with a hand-written backward. Each test runs the fused op and its chain of
-primitives on copies of the same operands, backpropagates the same random
-readout through both, and compares the output and every operand's gradient
-with ``np.array_equal``. The last test bounds the graph one training step
-builds.
+primitives from ``reference_ops.py`` on copies of the same operands,
+backpropagates the same random readout through both, and compares the
+output and every operand's gradient with ``np.array_equal``. The last test
+bounds the graph one training step builds.
 """
 
 from pathlib import Path
@@ -21,30 +21,9 @@ from histadapter.losses import batch_tsr, binary_cross_entropy_with_logits, tota
 from histadapter.synth import split_protocol
 from histadapter.vit import PRESETS
 
+from reference_ops import cdc_chain, histogram_chain, linear_chain
+
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "ablation.cfg"
-
-
-def linear_chain(x, weight, bias):
-    lead = x.shape[:-1]
-    flat = x if x.ndim == 2 else ad.reshape(x, (-1 if lead else 1, weight.shape[0]))
-    out = ad.add(ad.matmul(flat, weight), bias)
-    return out if x.ndim == 2 else ad.reshape(out, lead + (weight.shape[1],))
-
-
-def cdc_chain(x, kernel, bias, theta):
-    z = ad.conv2d(x, kernel, bias)
-    if theta == 0.0:
-        return z
-    zg = ad.central_difference_term(x, kernel)
-    return ad.add(ad.scale(z, 1.0 - theta), ad.scale(zg, theta))
-
-
-def histogram_chain(z, mu, gamma):
-    per_channel = (mu.shape[0], 1, 1)
-    centered = ad.sub(ad.pad2d(z, 1), ad.reshape(mu, per_channel))
-    u = ad.mul(ad.reshape(gamma, per_channel), centered)
-    e = ad.exp(ad.neg(ad.mul(u, u)))
-    return ad.scale(ad.window_sum3x3(e), 1.0 / 9)
 
 
 def run(op, arrays, trainable, readout):

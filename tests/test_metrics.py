@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from histadapter.metrics import (
     ScoreSet,
@@ -194,3 +196,33 @@ class TestValidationAndReport:
         row = report.csv_row("loo3", 0, "full", 0.1, 0.7)
         assert row.startswith("loo3,0,full,0.1,0.7,")
         assert len(row.split(",")) == 13
+
+
+# scores on a seven-point grid, so ties within and across classes are common
+GRID = st.integers(0, 6).map(lambda k: k / 6)
+
+
+@st.composite
+def tied_score_lists(draw):
+    labels = draw(st.lists(st.integers(0, 1), min_size=2, max_size=40)
+                  .filter(lambda labels: 0 < sum(labels) < len(labels)))
+    scores = draw(st.lists(GRID, min_size=len(labels), max_size=len(labels)))
+    return scores, labels
+
+
+class TestOraclesOnTiedGrids:
+    @settings(max_examples=300, deadline=None)
+    @given(tied_score_lists())
+    def test_auc_and_eer(self, case):
+        scores, labels = case
+        s = ScoreSet(scores, labels)
+        assert auc(roc(s)) == auc_pairwise(scores, labels)
+        assert eer(s) == eer_sweep(scores, labels)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_score_lists(), GRID)
+    def test_hter_and_acer(self, case, threshold):
+        scores, labels = case
+        s = ScoreSet(scores, labels)
+        assert hter(s, threshold) == hter_counting(scores, labels, threshold)
+        assert acer_suite(s) == acer_counting(scores, labels)

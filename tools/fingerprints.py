@@ -5,10 +5,12 @@ pair, plus three runs with TSR off (``lambda=0``, where the last block
 computes only the class row after attention), plus ``full``/``sum`` at
 batch size 4 (some of its batches hold a bona fide example from fewer than
 two domains, so their TSR is a constant and reaches no parameter), and
-prints the sha256 of each run's ``model.ckpt`` and ``train_log.csv``. The
-last row is the sha256 of the CSV that ``histadapter gradcheck --out``
-writes. A change that alters no float operation prints the same rows as
-its parent. Run from the repository root (about 40 s on one core):
+prints the sha256 of each run's ``model.ckpt`` and ``train_log.csv``. Next
+comes the sha256 of the CSV that ``histadapter gradcheck --out`` writes. A
+change that alters no float operation prints the same rows as its parent.
+The last row, ``src lines <N>``, is the line count over
+``src/histadapter/*.py``. Run from the repository root (about 40 s on one
+core):
 
     PYTHONPATH=src python3 tools/fingerprints.py
 """
@@ -26,7 +28,8 @@ from histadapter.cli import main as cli_main
 from histadapter.config import load_config
 from histadapter.training import train_run
 
-CONFIG = Path(__file__).resolve().parents[1] / "configs" / "ablation.cfg"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG = ROOT / "configs" / "ablation.cfg"
 EPOCHS = 3
 
 
@@ -52,6 +55,8 @@ def main() -> None:
         with contextlib.redirect_stdout(io.StringIO()):
             cli_main(["gradcheck", "--out", str(root / "gradcheck")])
         print(f"gradcheck.csv {sha256(root / 'gradcheck' / 'gradcheck.csv')}")
+    lines = sum(p.read_bytes().count(b"\n") for p in (ROOT / "src" / "histadapter").glob("*.py"))
+    print(f"src lines {lines}")
 
 
 if __name__ == "__main__":
