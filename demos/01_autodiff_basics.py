@@ -27,9 +27,22 @@ y.backward()
 print("d/dx of 2*sum(x*x)   : max |grad - 4x| =",
       np.abs(x.grad - 4 * x.data).max())
 
-# --- softmax rows are a probability simplex -------------------------------
-att = ad.softmax_lastdim(Tensor(rng.standard_normal((4, 6))))
-print("softmax row sums     :", att.data.sum(axis=-1))
+# --- attention is one node: all-zero queries average the values ----------
+# (B, N, d) queries, keys and values, split into 2 heads of width 3
+q = Tensor(np.zeros((1, 4, 6)))
+k = Tensor(rng.standard_normal((1, 4, 6)))
+v = Tensor(rng.standard_normal((1, 4, 6)), requires_grad=True)
+ctx = ad.attention(q, k, v, heads=2)
+print("attention - mean of v:", np.abs(ctx.data - v.data.mean(axis=1, keepdims=True)).max())
+
+# backward consumes the graph: leaves keep .grad, a second pass raises
+loss = ad.sum_all(ctx)
+loss.backward()
+print("d/dv of summed output:", v.grad[0, 0])  # each value row gets weight 4 * 1/4
+try:
+    loss.backward()
+except ValueError as err:
+    print("second backward      :", err)
 
 # --- every backward rule is validated against central differences ---------
 # spatial ops take a batch of (C, H, W) grids; here a batch of one

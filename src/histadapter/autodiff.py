@@ -5,11 +5,17 @@ matrix products, reshapes and gathers, activations, norms, reductions, and
 a finite difference gradient checker that every backward rule is
 validated against.
 
-The layers call three fused ops, each one graph node with a hand-written
-backward: :func:`linear`, :func:`cdc_conv` and :func:`soft_histogram`.
-Each runs the same float operations, in the same order, as the chain of
-primitives it replaces, so results and gradients equal the chain's bit
-for bit; ``tests/reference_ops.py`` holds those chains.
+The layers call four fused ops, each one graph node with a hand-written
+backward: :func:`linear`, :func:`cdc_conv`, :func:`soft_histogram` and
+:func:`attention`. Each runs the same float operations, in the same
+order, as the chain of primitives it replaces, so results and gradients
+equal the chain's bit for bit; ``tests/reference_ops.py`` holds those
+chains.
+
+Backward consumes the graph: :meth:`Tensor.backward` frees each interior
+node's parents, gradient and closure once the node's backward has run, so
+a step's scratch arrays do not outlive the pass. Leaves keep ``grad``;
+a second backward through a consumed node raises ``ValueError``.
 
 Conventions:
   * convolution is cross-correlation (no kernel flip), stride 1, zero
@@ -27,13 +33,13 @@ Conventions:
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf
 
 __all__ = [
@@ -49,7 +55,7 @@ __all__ = [
     "cdc_conv",
     "soft_histogram",
     "gelu",
-    "softmax_lastdim",
+    "attention",
     "layernorm",
     "sum_all",
     "frobenius_sq",
@@ -82,7 +88,7 @@ class Tensor:
     safe to share across threads.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -107,16 +113,31 @@ class Tensor:
         self.grad = None
 
     def backward(self) -> None:
-        """Run reverse-mode accumulation from this scalar tensor (a loss), seeded with 1."""
+        """Run reverse-mode accumulation from this scalar tensor (a loss), seeded with 1.
+
+        The pass consumes the graph it walks. Once a node's backward has
+        run, the node drops its parents, its gradient and its backward, so
+        the arrays a step built are freed as the pass goes. Leaves
+        (parameters and inputs) keep their ``grad``. A later backward that
+        reaches a consumed node raises ``ValueError``.
+        """
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar output, got shape {self.shape}")
         if not self.requires_grad:
             return
         order = _toposort(self)
         accumulate_grad(self, np.ones_like(self.data))
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+        # reverse topological order: each node's consumers have all run, so
+        # its gradient is complete when it is used and freed
+        while order:
+            node = order.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node._parents = ()
+            node.grad = None
+            node._backward = _consumed
 
     def __getitem__(self, idx):
         """Basic indexing only: ints, slices, ``None`` and ``Ellipsis``.
@@ -139,6 +160,10 @@ class Tensor:
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
+
+
+def _consumed(g) -> None:
+    raise ValueError("graph already consumed by backward()")
 
 
 def _toposort(root: Tensor) -> list:
@@ -359,15 +384,19 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return graph_op(out.reshape(x.shape[:-1] + (out_dim,)), (x, weight, bias), backward)
 
 
-def _scatter_taps(taps: np.ndarray, padded_shape: tuple) -> np.ndarray:
-    """Gradient of a padded (B, Cin, Hp, Wp) input from the per-tap gradients
-    (B, H, W, Cin, kh, kw) of the stride-1 windows a conv read from it."""
-    gxp = np.zeros(padded_shape, dtype=taps.dtype)
-    _, h, w, _, kh, kw = taps.shape
+def _scatter_taps(taps: np.ndarray) -> np.ndarray:
+    """Gradient of a (B, Cin, H, W) input from the per-tap gradients
+    (B, H, W, Cin, kh, kw) of the same-padded stride-1 windows a conv read
+    from it. The taps are summed into a channels-last zero-bordered buffer,
+    each element in tap order, then the border is cut off."""
+    b, h, w, cin, kh, kw = taps.shape
+    gxp = np.zeros((h + kh - 1, w + kw - 1, b, cin), dtype=taps.dtype)
+    by_tap = taps.transpose(1, 2, 0, 3, 4, 5)
     for dh in range(kh):
         for dw in range(kw):
-            gxp[:, :, dh:dh + h, dw:dw + w] += taps[:, :, :, :, dh, dw].transpose(0, 3, 1, 2)
-    return gxp
+            gxp[dh:dh + h, dw:dw + w] += by_tap[..., dh, dw]
+    ph, pw = kh // 2, kw // 2
+    return np.ascontiguousarray(gxp[ph:ph + h, pw:pw + w].transpose(2, 3, 0, 1))
 
 
 def _check_conv(name: str, x: Tensor, kernel: Tensor) -> None:
@@ -381,21 +410,24 @@ def _check_conv(name: str, x: Tensor, kernel: Tensor) -> None:
         raise ShapeError(f"{name} needs a (B, {cin}, H, W) input for this kernel, got {x.shape}")
 
 
-_VALID_TAP_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _valid_taps(h: int, w: int, kh: int, kw: int) -> np.ndarray:
     """(h, w, kh, kw) mask of kernel taps that land inside the grid."""
-    key = (h, w, kh, kw)
-    mask = _VALID_TAP_CACHE.get(key)
-    if mask is None:
-        rows = np.arange(h)[:, None] + np.arange(kh)[None, :] - kh // 2
-        cols = np.arange(w)[:, None] + np.arange(kw)[None, :] - kw // 2
-        row_ok = (rows >= 0) & (rows < h)
-        col_ok = (cols >= 0) & (cols < w)
-        mask = (row_ok[:, None, :, None] & col_ok[None, :, None, :]).astype(np.float64)
-        _VALID_TAP_CACHE[key] = mask
-    return mask
+    rows = np.arange(h)[:, None] + np.arange(kh)[None, :] - kh // 2
+    cols = np.arange(w)[:, None] + np.arange(kw)[None, :] - kw // 2
+    row_ok = (rows >= 0) & (rows < h)
+    col_ok = (cols >= 0) & (cols < w)
+    return (row_ok[:, None, :, None] & col_ok[None, :, None, :]).astype(np.float64)
+
+
+@functools.lru_cache(maxsize=None)
+def _window_index(cin: int, h: int, w: int, kh: int, kw: int) -> np.ndarray:
+    """(h, w, cin, kh, kw) flat positions, in a (cin, h + kh - 1, w + kw - 1)
+    zero-bordered grid, of the taps each output position reads."""
+    rows = np.arange(h)[:, None, None, None, None] + np.arange(kh)[None, None, None, :, None]
+    cols = np.arange(w)[None, :, None, None, None] + np.arange(kw)[None, None, None, None, :]
+    channels = np.arange(cin)[None, None, :, None, None]
+    return (channels * (h + kh - 1) + rows) * (w + kw - 1) + cols
 
 
 def cdc_conv(x: Tensor, kernel: Tensor, bias: Tensor, theta: float) -> Tensor:
@@ -406,35 +438,40 @@ def cdc_conv(x: Tensor, kernel: Tensor, bias: Tensor, theta: float) -> Tensor:
     sums kernel-weighted differences between each in-grid neighbor and the
     center, so it is exactly zero on a constant input. Stride 1 with zero
     padding kh//2, kw//2, so the (B, Cin, H, W) grid keeps its shape. One
-    padded copy and one im2col matrix serve both terms. Forward and
-    backward run the same float operations as ``cdc_chain`` in
-    ``tests/reference_ops.py`` (``conv2d``, ``central_difference_term``,
-    :func:`scale`, :func:`add`), so results are bit-identical to it; at
-    ``theta == 0`` the difference term is skipped and the result equals the
-    conv term alone.
+    gather from a zero-bordered copy builds the im2col matrix both terms
+    read. Forward and backward run the same float operations as
+    ``cdc_chain`` in ``tests/reference_ops.py`` (``conv2d``,
+    ``central_difference_term``, :func:`scale`, :func:`add`), so results are
+    bit-identical to it; at ``theta == 0`` the difference term is skipped
+    and the result equals the conv term alone.
     """
     x, kernel, bias = _lift(x), _lift(kernel), _lift(bias)
     _check_conv("cdc_conv", x, kernel)
-    cout, _, kh, kw = kernel.shape
+    cout, cin, kh, kw = kernel.shape
     if bias.shape != (cout,):
         raise ShapeError(f"cdc_conv bias must have shape ({cout},), got {bias.shape}")
     theta = float(theta)
-    _, _, h, w = x.shape
+    b, _, h, w = x.shape
     ph, pw = kh // 2, kw // 2
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    # (B, H, W, Cin, kh, kw): the layout tensordot contracts over the last three
-    cols = np.ascontiguousarray(
-        sliding_window_view(xp, (kh, kw), axis=(2, 3)).transpose(0, 2, 3, 1, 4, 5))
-    padded_shape = xp.shape
-    contract = ([3, 4, 5], [1, 2, 3])
-    out = np.moveaxis(np.tensordot(cols, kernel.data, axes=contract), 3, 1) \
-        + bias.data[:, None, None]
+    xp = np.zeros((b, cin, h + 2 * ph, w + 2 * pw))
+    xp[:, :, ph:ph + h, pw:pw + w] = x.data
+    # (B, H, W, Cin, kh, kw): the layout the products contract over the last three
+    cols = xp.reshape(b, -1)[:, _window_index(cin, h, w, kh, kw)]
+    # the 2D operands np.tensordot builds for these contractions, multiplied
+    # by the same np.dot, so the products equal tensordot's bit for bit
+    taps_by_out = kernel.data.transpose(1, 2, 3, 0).reshape(-1, cout)
+
+    def contract(rows):
+        return np.moveaxis(np.dot(rows.reshape(b * h * w, -1), taps_by_out)
+                           .reshape(b, h, w, cout), 3, 1)
+
+    out = contract(cols) + bias.data[:, None, None]
     if theta != 0.0:
         mask = _valid_taps(h, w, kh, kw)[:, :, None]
-        diffs = (cols - x.data.transpose(0, 2, 3, 1)[..., None, None]) * mask
-        zg = np.moveaxis(np.tensordot(diffs, kernel.data, axes=contract), 3, 1)
-        out = out * (1.0 - theta) + zg * theta
+        diffs = cols - x.data.transpose(0, 2, 3, 1)[..., None, None]
+        diffs *= mask
+        out = out * (1.0 - theta) + contract(diffs) * theta
 
     def backward(g):
         # (term gradient, im2col rows the term read, mask of its taps), in the
@@ -443,14 +480,17 @@ def cdc_conv(x: Tensor, kernel: Tensor, bias: Tensor, theta: float) -> Tensor:
             [(g * (1.0 - theta), cols, None), (g * theta, diffs, mask)]
         for gt, rows, tap_mask in terms:
             if kernel.requires_grad:
-                accumulate_grad(kernel, np.tensordot(gt, rows, axes=([0, 2, 3], [0, 1, 2])))
+                gk = np.dot(gt.transpose(1, 0, 2, 3).reshape(cout, -1),
+                            rows.reshape(b * h * w, -1))
+                accumulate_grad(kernel, gk.reshape(kernel.shape))
             if tap_mask is None and bias.requires_grad:
                 accumulate_grad(bias, gt.sum(axis=(0, 2, 3)))
             if x.requires_grad:
-                taps = np.tensordot(gt, kernel.data, axes=([1], [0]))
+                taps = np.dot(gt.transpose(0, 2, 3, 1).reshape(b * h * w, cout),
+                              kernel.data.reshape(cout, -1)).reshape(b, h, w, cin, kh, kw)
                 if tap_mask is not None:
-                    taps = taps * tap_mask
-                gx = _scatter_taps(taps, padded_shape)[:, :, ph:ph + h, pw:pw + w]
+                    taps *= tap_mask
+                gx = _scatter_taps(taps)
                 if tap_mask is not None:
                     gx -= taps.sum(axis=(4, 5)).transpose(0, 3, 1, 2)
                 accumulate_grad(x, gx)
@@ -479,7 +519,9 @@ def soft_histogram(z: Tensor, mu: Tensor, gamma: Tensor) -> Tensor:
         )
     per_channel = (c, 1, 1)
     gamma_c = gamma.data.reshape(per_channel)
-    centered = np.pad(z.data, ((0, 0), (0, 0), (1, 1), (1, 1))) - mu.data.reshape(per_channel)
+    centered = np.zeros(z.shape[:2] + (h + 2, w + 2))
+    centered[..., 1:1 + h, 1:1 + w] = z.data
+    centered -= mu.data.reshape(per_channel)
     u = gamma_c * centered
     e = np.exp(-(u * u))
     pooled = np.zeros(z.shape, dtype=e.dtype)
@@ -523,18 +565,54 @@ def gelu(x: Tensor) -> Tensor:
     return graph_op(x.data * cdf, (x,), backward)
 
 
-def softmax_lastdim(x: Tensor) -> Tensor:
-    """Row-stochastic softmax along the last axis (max-shifted for stability)."""
-    x = _lift(x)
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention as one node, heads merged back.
+
+    ``q``, ``k`` and ``v`` are (B, N, d) and are split into ``heads`` heads of
+    width d / heads; the result is (B, N, d), before any output projection.
+    Forward and backward run the same float operations as ``attention_chain``
+    in ``tests/reference_ops.py`` (head split by :func:`reshape` and
+    :func:`transpose`, :func:`matmul`, :func:`scale`, a max-shifted softmax,
+    :func:`matmul`, merge), so results are bit-identical to it. Only the
+    softmax output and views of the operands are kept for the backward.
+    """
+    q, k, v = _lift(q), _lift(k), _lift(v)
+    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
+        raise ShapeError(f"attention needs (B, N, d) q, k and v of one shape, "
+                         f"got {q.shape}, {k.shape} and {v.shape}")
+    b, n, d = q.shape
+    if heads < 1 or d % heads:
+        raise ShapeError(f"attention width {d} does not split into {heads} heads")
+    dh = d // heads
+
+    def split(t):
+        return np.transpose(t.data.reshape(b, n, heads, dh), (0, 2, 1, 3))
+
+    qh, kh, vh = split(q), split(k), split(v)
+    s = float(1.0 / np.sqrt(dh))
+    # scores, then softmax along the keys, in place
+    y = qh @ np.transpose(kh, (0, 1, 3, 2))
+    y *= s
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        accumulate_grad(x, y * (g - dot))
+        gc = np.transpose(g.reshape(b, n, heads, dh), (0, 2, 1, 3))
+        if q.requires_grad or k.requires_grad:
+            ga = gc @ np.swapaxes(vh, -1, -2)
+            gs = y * (ga - (ga * y).sum(axis=-1, keepdims=True)) * s
+            if q.requires_grad:
+                accumulate_grad(q, np.transpose(gs @ kh, (0, 2, 1, 3)).reshape(b, n, d))
+            if k.requires_grad:
+                gkt = np.swapaxes(qh, -1, -2) @ gs
+                accumulate_grad(k, np.transpose(gkt, (0, 3, 1, 2)).reshape(b, n, d))
+        if v.requires_grad:
+            gv = np.swapaxes(y, -1, -2) @ gc
+            accumulate_grad(v, np.transpose(gv, (0, 2, 1, 3)).reshape(b, n, d))
 
-    return graph_op(y, (x,), backward)
+    out = np.transpose(y @ vh, (0, 2, 1, 3)).reshape(b, n, d)
+    return graph_op(out, (q, k, v), backward)
 
 
 def layernorm(x: Tensor, gain: Tensor, shift: Tensor) -> Tensor:
@@ -545,10 +623,11 @@ def layernorm(x: Tensor, gain: Tensor, shift: Tensor) -> Tensor:
         raise ShapeError(
             f"layernorm gain/shift must have shape ({d},), got {gain.shape}/{shift.shape}"
         )
-    mean = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    # centered once; the variance is np.var's own sequence of operations
+    c = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = (c * c).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
-    xhat = (x.data - mean) * inv
+    xhat = c * inv
 
     def backward(g):
         if gain.requires_grad:

@@ -128,7 +128,8 @@ CHECKS = [
     (ad.soft_histogram, ("soft_histogram/input", "soft_histogram/mu", "soft_histogram/gamma"),
      ((2, 3, 4, 4), (3,), (3,)), _histogram_operands, _positive_readout),
     (ad.gelu, ("gelu",), ((3, 4),)),
-    (ad.softmax_lastdim, ("softmax_lastdim",), ((4, 5),)),
+    (lambda q, k, v: ad.attention(q, k, v, 2), ("attention/q", "attention/k", "attention/v"),
+     ((2, 3, 4), (2, 3, 4), (2, 3, 4))),
     (ad.layernorm, ("layernorm/input", "layernorm/gain", "layernorm/shift"),
      ((4, 6), (6,), (6,))),
     (ad.sum_all, ("sum_all",), ((3, 4),)),

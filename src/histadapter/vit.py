@@ -84,18 +84,7 @@ class ViTBlock:
         """Multi-head self-attention on (B, N, d) tokens (projection included, no residual)."""
         if x.ndim != 3 or x.shape[-1] != self.cfg.width:
             raise ShapeError(f"block expects (B, N, {self.cfg.width}) tokens, got {x.shape}")
-        b, n, d = x.shape
-        heads = self.cfg.heads
-        dh = d // heads
-
-        def split(t):
-            return ad.transpose(ad.reshape(t, (b, n, heads, dh)), (0, 2, 1, 3))
-
-        q, k, v = split(self.wq(x)), split(self.wk(x)), split(self.wv(x))
-        scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-        att = ad.softmax_lastdim(scores)
-        ctx = ad.transpose(ad.matmul(att, v), (0, 2, 1, 3))
-        return self.proj(ad.reshape(ctx, (b, n, d)))
+        return self.proj(ad.attention(self.wq(x), self.wk(x), self.wv(x), self.cfg.heads))
 
     def _attend(self, x: Tensor) -> Tensor:
         return ad.add(x, self.mhsa(ad.layernorm(x, self.ln1_gain, self.ln1_shift)))

@@ -1,13 +1,13 @@
 """Primitive ops and the chains the fused ops of ``histadapter.autodiff`` replace.
 
-The model runs ``linear``, ``cdc_conv`` and ``soft_histogram`` as one graph
-node each. Their forward and backward follow the float operations of the
-chains below in the same order, so the fused results and gradients equal
-the chains' bit for bit. The chains are built from graph nodes defined here
-with :func:`histadapter.autodiff.graph_op` (``conv2d``,
-``central_difference_term``, ``pad2d``, ``window_sum3x3``, ``exp``) and from
-the library's own ops. Spatial ops take (B, C, H, W) batches, like the
-fused ones.
+The model runs ``linear``, ``cdc_conv``, ``soft_histogram`` and
+``attention`` as one graph node each. Their forward and backward follow the
+float operations of the chains below in the same order, so the fused
+results and gradients equal the chains' bit for bit. The chains are built
+from graph nodes defined here with :func:`histadapter.autodiff.graph_op`
+(``conv2d``, ``central_difference_term``, ``pad2d``, ``window_sum3x3``,
+``exp``, ``softmax_lastdim``) and from the library's own ops. Spatial ops
+take (B, C, H, W) batches, like the fused ones.
 """
 
 from __future__ import annotations
@@ -20,11 +20,21 @@ from histadapter.autodiff import (
     ShapeError,
     Tensor,
     _check_conv,
-    _scatter_taps,
     _valid_taps,
     accumulate_grad,
     graph_op,
 )
+
+
+def _scatter_taps(taps: np.ndarray, padded_shape: tuple) -> np.ndarray:
+    """Gradient of a padded (B, Cin, Hp, Wp) input from the per-tap gradients
+    (B, H, W, Cin, kh, kw) of the stride-1 windows a conv read from it."""
+    gxp = np.zeros(padded_shape, dtype=taps.dtype)
+    _, h, w, _, kh, kw = taps.shape
+    for dh in range(kh):
+        for dw in range(kw):
+            gxp[:, :, dh:dh + h, dw:dw + w] += taps[:, :, :, :, dh, dw].transpose(0, 3, 1, 2)
+    return gxp
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
@@ -131,6 +141,19 @@ def exp(x: Tensor) -> Tensor:
     return graph_op(y, (x,), backward)
 
 
+def softmax_lastdim(x: Tensor) -> Tensor:
+    """Row-stochastic softmax along the last axis (max-shifted for stability)."""
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    y = e / e.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        dot = (g * y).sum(axis=-1, keepdims=True)
+        accumulate_grad(x, y * (g - dot))
+
+    return graph_op(y, (x,), backward)
+
+
 def linear_chain(x, weight, bias):
     """``ad.linear`` as reshape, matmul, add, reshape."""
     lead = x.shape[:-1]
@@ -156,3 +179,17 @@ def histogram_chain(z, mu, gamma):
     u = ad.mul(ad.reshape(gamma, per_channel), centered)
     e = exp(ad.scale(ad.mul(u, u), -1.0))
     return ad.scale(window_sum3x3(e), 1.0 / 9)
+
+
+def attention_chain(q, k, v, heads):
+    """``ad.attention``: split heads, scaled QK^T, softmax, AV, merge heads."""
+    b, n, d = q.shape
+    dh = d // heads
+
+    def split(t):
+        return ad.transpose(ad.reshape(t, (b, n, heads, dh)), (0, 2, 1, 3))
+
+    q, k, v = split(q), split(k), split(v)
+    scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
+    ctx = ad.transpose(ad.matmul(softmax_lastdim(scores), v), (0, 2, 1, 3))
+    return ad.reshape(ctx, (b, n, d))

@@ -217,12 +217,12 @@ class TestConv2d:
 
 class TestActivationsAndNorms:
     def test_softmax_symmetry(self):
-        out = ad.softmax_lastdim(Tensor([0.0, 0.0]))
+        out = ref.softmax_lastdim(Tensor([0.0, 0.0]))
         assert np.allclose(out.data, [0.5, 0.5], atol=1e-15)
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(6)
-        out = ad.softmax_lastdim(Tensor(rng.standard_normal((8, 8)) * 5))
+        out = ref.softmax_lastdim(Tensor(rng.standard_normal((8, 8)) * 5))
         sums = out.data.sum(axis=-1)
         assert np.all(np.abs(sums - 1.0) <= 1e-12)
         assert np.all(out.data > 0.0) and np.all(out.data < 1.0)
@@ -297,6 +297,33 @@ class TestBackward:
         assert np.array_equal(x.grad, [[2, 2], [0, 0], [1, 1]])
 
 
+class TestBackwardConsumesGraph:
+    def test_interior_nodes_release_parents_and_gradients(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        y = ad.mul(x, x)
+        loss = ad.sum_all(y)
+        loss.backward()
+        assert np.array_equal(x.grad, [2.0, 4.0])  # leaves keep their gradient
+        for node in (y, loss):
+            assert node._parents == () and node.grad is None
+        assert np.array_equal(y.data, [1.0, 4.0])  # values stay readable
+
+    def test_second_backward_from_the_same_root_raises(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        loss = ad.sum_all(ad.mul(x, x))
+        loss.backward()
+        with pytest.raises(ValueError, match="consumed"):
+            loss.backward()
+
+    def test_backward_from_a_second_root_through_a_spent_subgraph_raises(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        y = ad.mul(x, x)
+        ad.sum_all(y).backward()
+        second = ad.sum_all(ad.scale(y, 2.0))
+        with pytest.raises(ValueError, match="consumed"):
+            second.backward()
+
+
 class TestNoGrad:
     def test_grad_enabled_reports_the_mode(self):
         assert ad.grad_enabled()
@@ -337,7 +364,8 @@ OPS_FOR_SWEEP = [
     ("matmul", lambda rng: _matmul_case(rng)),
     ("conv2d", lambda rng: _conv_case(rng)),
     ("cdt", lambda rng: _cdt_case(rng)),
-    ("softmax", lambda rng: _unary_case(rng, ad.softmax_lastdim)),
+    ("softmax", lambda rng: _unary_case(rng, ref.softmax_lastdim)),
+    ("attention", lambda rng: _attention_case(rng)),
     ("exp", lambda rng: _unary_case(rng, lambda t: ref.exp(ad.scale(t, 0.5)))),
     ("gelu", lambda rng: _unary_case(rng, ad.gelu)),
     ("layernorm", lambda rng: _layernorm_case(rng)),
@@ -369,6 +397,13 @@ def _matmul_case(rng):
     head = weighted_head(rng, (3, 2))
     x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     return lambda t: head(ad.matmul(t, b)), x
+
+
+def _attention_case(rng):
+    k, v = (Tensor(rng.standard_normal((2, 3, 4))) for _ in range(2))
+    head = weighted_head(rng, (2, 3, 4))
+    x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+    return lambda t: head(ad.attention(t, k, v, 2)), x
 
 
 def _conv_case(rng):

@@ -1,13 +1,15 @@
 """The fused ops equal the primitive chains they replace, bit for bit.
 
-``linear``, ``cdc_conv`` and ``soft_histogram`` each build one graph node
-with a hand-written backward. Each test runs the fused op and its chain of
-primitives from ``reference_ops.py`` on copies of the same operands,
-backpropagates the same random readout through both, and compares the
-output and every operand's gradient with ``np.array_equal``. The last test
-bounds the graph one training step builds.
+``linear``, ``cdc_conv``, ``soft_histogram`` and ``attention`` each build
+one graph node with a hand-written backward. Each test runs the fused op
+and its chain of primitives from ``reference_ops.py`` on copies of the same
+operands, backpropagates the same random readout through both, and
+compares the output and every operand's gradient with ``np.array_equal``.
+The last tests bound the graph one training step builds and check that its
+backward frees it.
 """
 
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,7 @@ from histadapter.losses import batch_tsr, binary_cross_entropy_with_logits, tota
 from histadapter.synth import split_protocol
 from histadapter.vit import PRESETS
 
-from reference_ops import cdc_chain, histogram_chain, linear_chain
+from reference_ops import attention_chain, cdc_chain, histogram_chain, linear_chain
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "ablation.cfg"
 
@@ -123,21 +125,55 @@ class TestSoftHistogram:
                               Tensor(np.zeros(gamma_shape)))
 
 
-def grad_ops(root: Tensor) -> int:
+class TestAttention:
+    @pytest.mark.parametrize("heads", [1, 4])
+    @pytest.mark.parametrize("n", [1, 17])
+    @pytest.mark.parametrize("trainable", FROZEN_IN_TURN)
+    def test_matches_chain_bit_for_bit(self, heads, n, trainable):
+        rng = np.random.default_rng(7)
+        arrays = [rng.standard_normal((2, n, 8)) for _ in range(3)]
+        assert_bit_identical(lambda q, k, v: ad.attention(q, k, v, heads),
+                             lambda q, k, v: attention_chain(q, k, v, heads), arrays, trainable)
+
+    @pytest.mark.parametrize("heads", [1, 4])
+    def test_matches_chain_under_no_grad(self, heads):
+        rng = np.random.default_rng(8)
+        operands = [Tensor(rng.standard_normal((2, 5, 8)), requires_grad=True) for _ in range(3)]
+        with ad.no_grad():
+            fused = ad.attention(*operands, heads)
+            chain = attention_chain(*operands, heads)
+        assert not fused.requires_grad and fused._parents == ()
+        assert np.array_equal(fused.data, chain.data)
+
+    @pytest.mark.parametrize("shapes, heads", [
+        (((2, 3, 8), (2, 3, 8), (2, 4, 8)), 2),   # value length
+        (((2, 3, 8), (2, 3, 6), (2, 3, 8)), 2),   # key width
+        (((3, 8), (3, 8), (3, 8)), 2),            # unbatched tokens
+        (((2, 3, 8), (2, 3, 8), (2, 3, 8)), 3),   # width not split by heads
+        (((2, 3, 8), (2, 3, 8), (2, 3, 8)), 0),   # no heads
+    ])
+    def test_shape_mismatch_rejected(self, shapes, heads):
+        with pytest.raises(ShapeError):
+            ad.attention(*(Tensor(np.zeros(s)) for s in shapes), heads)
+
+
+def grad_ops(root: Tensor) -> list:
     """Ops with a backward that are reachable from ``root`` through grad-carrying tensors."""
-    seen, stack, count = set(), [root], 0
+    seen, stack, ops = set(), [root], []
     while stack:
         node = stack.pop()
         if id(node) in seen:
             continue
         seen.add(id(node))
-        count += node._backward is not None
+        if node._backward is not None:
+            ops.append(node)
         stack.extend(p for p in node._parents if p.requires_grad)
-    return count
+    return ops
 
 
-def test_one_toy_training_step_builds_under_200_grad_ops():
-    # the first step train_run takes on configs/ablation.cfg: seed 0, batch 16, TSR on
+def first_toy_step():
+    """The model and loss of the first step train_run takes on configs/ablation.cfg:
+    seed 0, batch 16, TSR on."""
     cfg = load_config(CONFIG, {})
     assert cfg.seed == 0 and cfg.batch_size == 16 and cfg.tsr_lambda > 0
     split = split_protocol(training.build_protocol(cfg), cfg.train_per_class,
@@ -150,4 +186,21 @@ def test_one_toy_training_step_builds_under_200_grad_ops():
     logits = model.forward(Tensor(split.train.images.data[idx]))
     bce = binary_cross_entropy_with_logits(logits, split.train.labels[idx])
     tsr = batch_tsr(model.style_map, split.train.labels[idx], split.train.domain_ids[idx])
-    assert grad_ops(total_loss(bce, tsr, cfg.tsr_lambda)) < 200
+    return model, total_loss(bce, tsr, cfg.tsr_lambda)
+
+
+def test_one_toy_training_step_builds_under_160_grad_ops():
+    _, loss = first_toy_step()
+    assert len(grad_ops(loss)) < 160
+
+
+def test_backward_of_a_toy_training_step_frees_its_graph():
+    model, loss = first_toy_step()
+    interior = [weakref.ref(node) for node in grad_ops(loss)]
+    assert len(interior) > 100
+    loss.backward()
+    # only the loss and the style map the model holds outlive the pass
+    alive = {id(ref()) for ref in interior if ref() is not None}
+    assert alive == {id(loss), id(model.style_map)}
+    with pytest.raises(ValueError, match="consumed"):
+        loss.backward()
