@@ -13,12 +13,14 @@ rng = np.random.default_rng(0)
 # --- build a tiny expression and differentiate it ------------------------
 x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
 w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+b = Tensor(np.zeros(2))  # a frozen operand gets no gradient
 
-loss = ad.sum_all(ad.gelu(ad.matmul(x, w)))
+loss = ad.sum_all(ad.gelu(ad.linear(x, w, b)))
 loss.backward()
 print("loss                 :", float(loss.data))
 print("x.grad shape         :", x.grad.shape)
 print("w.grad mean          :", w.grad.mean())
+print("frozen b.grad        :", b.grad)
 
 # gradients accumulate across uses; zero them between steps
 x.zero_grad()

@@ -17,8 +17,9 @@ content = rng.standard_normal((4, 6, 6))
 domain_a = content * 1.0
 domain_b = content * 1.6 + 0.3
 
-ga = gram(Tensor(domain_a)).data
-gb = gram(Tensor(domain_b)).data
+# gram is a readout: a plain array, no graph
+ga = gram(domain_a)
+gb = gram(domain_b)
 print("gram diagonal, domain A:", np.diag(ga).round(3))
 print("gram diagonal, domain B:", np.diag(gb).round(3))
 print("style distance         :",
@@ -26,7 +27,8 @@ print("style distance         :",
 print("distance to itself     :",
       float(tsr_pair(Tensor(domain_a), Tensor(domain_a)).data))
 
-# batch version: grouped by domain, bona fide only
+# batch version: grouped by domain, bona fide only; one graph node whose
+# backward gives each domain's pooled map dF = (dG + dG^T) F / F.size
 maps = Tensor(rng.standard_normal((6, 4, 3, 3)), requires_grad=True)
 labels = np.array([0, 1, 0, 1, 0, 1])        # alternating bona fide / attack
 domains = np.array([0, 0, 1, 1, 2, 2])

@@ -39,4 +39,4 @@ print("HTER @ old threshold :", round(hter(shifted, threshold), 4))
 
 report = evaluate_scores(shifted, threshold)
 print("\nfull report row      :",
-      report.csv_row("demo", 0, "full", 0.1, 0.7))
+      report.csv_row("demo", 0, "full", "sum", 0.1, 0.7))

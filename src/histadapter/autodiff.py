@@ -1,16 +1,17 @@
 """Dense float64 tensors with reverse-mode differentiation on top of numpy.
 
-Every operation the model composes lives here: elementwise arithmetic,
-matrix products, reshapes and gathers, activations, norms, reductions, and
-a finite difference gradient checker that every backward rule is
-validated against.
+The ops the model composes live here (add, mul, scale, reshape,
+transpose, concat, basic indexing, gelu, layernorm, sum_all), with a
+finite difference gradient checker that every backward rule is validated
+against.
 
 The layers call four fused ops, each one graph node with a hand-written
 backward: :func:`linear`, :func:`cdc_conv`, :func:`soft_histogram` and
-:func:`attention`. Each runs the same float operations, in the same
-order, as the chain of primitives it replaces, so results and gradients
-equal the chain's bit for bit; ``tests/reference_ops.py`` holds those
-chains.
+:func:`attention`; ``losses.batch_tsr`` is a fifth. Each runs the same
+float operations, in the same order, as the chain of primitives it
+replaces, so results and gradients equal the chain's bit for bit;
+``tests/reference_ops.py`` holds those chains and the primitives only
+they use (``sub``, ``matmul``, ``frobenius_sq``, ``take_rows``, ...).
 
 Backward consumes the graph: :meth:`Tensor.backward` frees each interior
 node's parents, gradient and closure once the node's backward has run, so
@@ -23,7 +24,7 @@ Conventions:
   * the spatial ops take one layout, a batch of channel-first grids
     (B, C, H, W); a single grid is a batch of one,
   * gradients accumulate across uses; callers zero them between steps,
-  * add, sub and mul broadcast one operand into the other's shape by
+  * add and mul broadcast one operand into the other's shape by
     numpy's rules; a pair that would broadcast to a third shape is
     rejected,
   * data and gradients are 64-bit floats, so finite differences have
@@ -47,10 +48,8 @@ __all__ = [
     "ShapeError",
     "GradCheckReport",
     "add",
-    "sub",
     "mul",
     "scale",
-    "matmul",
     "linear",
     "cdc_conv",
     "soft_histogram",
@@ -58,11 +57,9 @@ __all__ = [
     "attention",
     "layernorm",
     "sum_all",
-    "frobenius_sq",
     "reshape",
     "transpose",
     "concat",
-    "take_rows",
     "graph_op",
     "no_grad",
     "grad_enabled",
@@ -147,8 +144,8 @@ class Tensor:
         """
         for part in idx if isinstance(idx, tuple) else (idx,):
             if not isinstance(part, _BASIC_INDEX):
-                raise ShapeError(f"Tensor index takes ints, slices, None and Ellipsis, got "
-                                 f"{type(part).__name__}; gather rows with take_rows")
+                raise ShapeError(f"Tensor index takes ints, slices, None and Ellipsis, "
+                                 f"got {type(part).__name__}")
 
         def backward(g):
             gx = np.zeros(self.shape, dtype=self.data.dtype)
@@ -291,17 +288,6 @@ def add(a, b) -> Tensor:
     return graph_op(a.data + b.data, (a, b), backward)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    _check_elementwise(a, b, "sub")
-
-    def backward(g):
-        _accumulate_broadcast(a, g)
-        _accumulate_broadcast(b, -g)
-
-    return graph_op(a.data - b.data, (a, b), backward)
-
-
 def mul(a, b) -> Tensor:
     """Elementwise (Hadamard) product."""
     a, b = _lift(a), _lift(b)
@@ -325,40 +311,12 @@ def scale(a: Tensor, s: float) -> Tensor:
     return graph_op(a.data * s, (a,), backward)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product on the last two axes.
-
-    2D inputs give the plain m×k @ k×n product. Higher-rank inputs are
-    treated as stacks of matrices and must share their leading extents
-    exactly (used for per-head attention).
-    """
-    a, b = _lift(a), _lift(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs matrices, got shapes {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(
-            f"matmul inner dimensions disagree: {a.shape} vs {b.shape}"
-        )
-    if a.shape[:-2] != b.shape[:-2]:
-        raise ShapeError(
-            f"matmul stacked dimensions disagree: {a.shape} vs {b.shape}"
-        )
-
-    def backward(g):
-        if a.requires_grad:
-            accumulate_grad(a, g @ np.swapaxes(b.data, -1, -2))
-        if b.requires_grad:
-            accumulate_grad(b, np.swapaxes(a.data, -1, -2) @ g)
-
-    return graph_op(a.data @ b.data, (a, b), backward)
-
-
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Affine map on the last axis, ``x @ weight + bias``, as one node.
 
     ``x`` is (..., in), ``weight`` (in, out), ``bias`` (out,). Leading axes
     are flattened into the rows of one 2D product, so the result and every
-    gradient equal those of the reshape / :func:`matmul` / :func:`add` /
+    gradient equal those of the reshape / ``matmul`` / :func:`add` /
     reshape chain bit for bit. Frozen operands get no gradient.
     """
     x, weight, bias = _lift(x), _lift(weight), _lift(bias)
@@ -505,7 +463,7 @@ def soft_histogram(z: Tensor, mu: Tensor, gamma: Tensor) -> Tensor:
     3x3 window of ``exp(-(gamma_c * (z - mu_c))^2)``; ``z`` is (B, C, H, W)
     and ``mu``, ``gamma`` are (C,). Forward and backward run the same float
     operations as ``histogram_chain`` in ``tests/reference_ops.py``
-    (``pad2d``, :func:`sub`, :func:`mul`, ``exp``, :func:`scale`,
+    (``pad2d``, ``sub``, :func:`mul`, ``exp``, :func:`scale`,
     ``window_sum3x3``), so results are bit-identical to it.
     """
     z, mu, gamma = _lift(z), _lift(mu), _lift(gamma)
@@ -572,8 +530,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     width d / heads; the result is (B, N, d), before any output projection.
     Forward and backward run the same float operations as ``attention_chain``
     in ``tests/reference_ops.py`` (head split by :func:`reshape` and
-    :func:`transpose`, :func:`matmul`, :func:`scale`, a max-shifted softmax,
-    :func:`matmul`, merge), so results are bit-identical to it. Only the
+    :func:`transpose`, ``matmul``, :func:`scale`, a max-shifted softmax,
+    ``matmul``, merge), so results are bit-identical to it. Only the
     softmax output and views of the operands are kept for the backward.
     """
     q, k, v = _lift(q), _lift(k), _lift(v)
@@ -654,16 +612,6 @@ def sum_all(x: Tensor) -> Tensor:
     return graph_op(np.asarray(x.data.sum()), (x,), backward)
 
 
-def frobenius_sq(x: Tensor) -> Tensor:
-    """Sum of squared entries (squared Frobenius norm)."""
-    x = _lift(x)
-
-    def backward(g):
-        accumulate_grad(x, 2.0 * float(g) * x.data)
-
-    return graph_op(np.asarray((x.data * x.data).sum()), (x,), backward)
-
-
 def reshape(x: Tensor, shape) -> Tensor:
     x = _lift(x)
     shape = tuple(shape)
@@ -697,19 +645,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             accumulate_grad(t, g[tuple(idx)])
 
     return graph_op(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), backward)
-
-
-def take_rows(x: Tensor, indices) -> Tensor:
-    """Gather rows along axis 0 (duplicate indices accumulate gradient)."""
-    x = _lift(x)
-    indices = np.asarray(indices, dtype=np.intp)
-
-    def backward(g):
-        gx = np.zeros(x.shape, dtype=x.data.dtype)
-        np.add.at(gx, indices, g)
-        accumulate_grad(x, gx)
-
-    return graph_op(x.data[indices], (x,), backward)
 
 
 # ---------------------------------------------------------------------------

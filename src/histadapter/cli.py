@@ -62,7 +62,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _config_from(args)
     report = evaluate_run(cfg, args.checkpoint)
-    row = report.csv_row(cfg.protocol_name, cfg.seed, cfg.variant,
+    row = report.csv_row(cfg.protocol_name, cfg.seed, cfg.variant, cfg.fusion,
                          cfg.tsr_lambda, cfg.theta)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -124,7 +124,7 @@ def cmd_ablate(args) -> int:
                         result = train_run(cfg)
                         report = evaluate_run(cfg, result.checkpoint_path)
                         rows.append(report.csv_row(cfg.protocol_name, seed, variant,
-                                                   lam, theta))
+                                                   fusion, lam, theta))
                         cell_hters.append(report.hter)
                         print(rows[-1])
                     means[(variant, theta, lam, fusion)] = float(np.mean(cell_hters))

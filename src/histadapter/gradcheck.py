@@ -14,7 +14,7 @@ import numpy as np
 from histadapter import autodiff as ad
 from histadapter.adapter import HistAdapter
 from histadapter.autodiff import GradCheckReport, Tensor, finite_difference_check
-from histadapter.losses import binary_cross_entropy_with_logits, gram, tsr_pair
+from histadapter.losses import binary_cross_entropy_with_logits, tsr_pair
 
 __all__ = ["run_gradient_checks", "OP_TOLERANCE", "COMPOSED_TOLERANCE"]
 
@@ -117,10 +117,8 @@ def _positive_readout(rng, shape):
 # named "<op>/<operand>", or "<op>" for an op of one operand
 CHECKS = [
     (ad.add, ("add/lhs", "add/rhs"), ((3, 4), (4,))),
-    (ad.sub, ("sub/lhs", "sub/rhs"), ((3, 4), (4,))),
     (ad.mul, ("mul/lhs", "mul/rhs"), ((3, 4), (4,))),
     (lambda a: ad.scale(a, 0.73), ("scale",), ((3, 4),)),
-    (ad.matmul, ("matmul/lhs", "matmul/rhs"), ((3, 4), (4, 2))),
     (ad.linear, ("linear/input", "linear/weight", "linear/bias"), ((2, 3, 4), (4, 2), (2,))),
     (lambda x, k, b: ad.cdc_conv(x, k, b, 0.7),
      ("cdc_conv/input", "cdc_conv/kernel", "cdc_conv/bias"),
@@ -133,16 +131,13 @@ CHECKS = [
     (ad.layernorm, ("layernorm/input", "layernorm/gain", "layernorm/shift"),
      ((4, 6), (6,), (6,))),
     (ad.sum_all, ("sum_all",), ((3, 4),)),
-    (ad.frobenius_sq, ("frobenius_sq",), ((3, 4),)),
     (lambda t: ad.reshape(t, (4, 3)), ("reshape",), ((3, 4),)),
     (lambda t: ad.transpose(t, (2, 0, 1)), ("transpose",), ((2, 3, 4),)),
     (lambda a, b: ad.concat([a, b], axis=1), ("concat/lhs", "concat/rhs"),
      ((2, 3, 4), (2, 1, 4))),
-    (lambda t: ad.take_rows(t, [0, 3, 3, 1]), ("take_rows",), ((4, 3),)),
     (lambda t: t[1:, None, ..., 2], ("index",), ((3, 4, 5),)),
     (lambda t: binary_cross_entropy_with_logits(t, [0, 1, 1, 0, 1, 0]),
      ("bce_with_logits",), ((6, 2),)),
-    (gram, ("gram",), ((3, 4, 4),)),
     (tsr_pair, ("tsr_pair/lhs", "tsr_pair/rhs"), ((3, 4, 4), (3, 4, 4))),
 ]
 

@@ -29,53 +29,85 @@ __all__ = [
 BONA_FIDE = 0
 
 
-def gram(z: Tensor) -> Tensor:
-    """Channel-by-channel second moment: G[k,k'] = sum_hw z_k z_k' / (C*H*W)."""
+def gram(z) -> np.ndarray:
+    """Channel-by-channel second moment of one (C, H, W) map, as a plain array:
+    G[k,k'] = sum_hw z_k z_k' / (C*H*W). A readout; it builds no graph."""
+    z = z.data if isinstance(z, Tensor) else np.asarray(z, dtype=np.float64)
     if z.ndim != 3:
         raise ShapeError(f"gram expects a single (C, H, W) map, got {z.shape}")
-    c, h, w = z.shape
-    flat = ad.reshape(z, (c, h * w))
-    return ad.scale(ad.matmul(flat, ad.transpose(flat, (1, 0))), 1.0 / (c * h * w))
+    return _gram(z.reshape(z.shape[0], -1))
 
 
-def tsr_pair(z1: Tensor, z2: Tensor) -> Tensor:
+def _gram(flat: np.ndarray) -> np.ndarray:
+    # both operands are one buffer, so numpy takes its A @ A.T path
+    return (flat @ flat.T) * float(1.0 / flat.size)
+
+
+def tsr_pair(z1, z2) -> Tensor:
     """Squared Frobenius distance between two (C, H, W) maps' Gram matrices."""
-    if z1.shape[0] != z2.shape[0]:
-        raise ShapeError(f"style maps disagree in channels: {z1.shape} vs {z2.shape}")
-    return ad.frobenius_sq(ad.sub(gram(z1), gram(z2)))
+    return tsr_average([z1, z2])
 
 
 def tsr_average(domain_grids) -> Tensor:
-    """Mean of :func:`tsr_pair` over all unordered pairs of domain maps.
+    """Mean of :func:`tsr_pair` over all unordered pairs of (C, H, W) domain maps,
+    which must share one shape: :func:`batch_tsr` with one bona fide map per domain.
 
     With fewer than two domains the batch is degenerate and the value is 0.
     """
-    pairs = list(combinations(domain_grids, 2))
-    if not pairs:
+    grids = list(domain_grids)
+    if len(grids) < 2:
         return Tensor(np.zeros(()))
-    total = tsr_pair(*pairs[0])
-    for a, b in pairs[1:]:
-        total = ad.add(total, tsr_pair(a, b))
-    return ad.scale(total, 1.0 / len(pairs))
+    if len({g.shape for g in grids}) > 1:
+        raise ShapeError(f"style maps disagree in shape (channels, height, width): "
+                         f"{[g.shape for g in grids]}")
+    maps = ad.concat([ad.reshape(g, (1,) + g.shape) for g in grids])
+    return batch_tsr(maps, np.full(len(grids), BONA_FIDE), np.arange(len(grids)))
 
 
 def batch_tsr(style_maps: Tensor, labels, domain_ids) -> Tensor:
-    """Token-style regularizer over a batch of per-example (B, C, H, W) style maps.
+    """Token-style regularizer over a batch of (B, C, H, W) style maps, as one node.
 
     Each domain's bona fide maps, domains ascending, are pooled into one
-    (C, m*H, W) map by concatenating them along the row axis, so its Gram
-    matrix is the domain's second moment over all of its examples. The
-    value is :func:`tsr_average` over the pooled maps.
+    (C, m*H*W) matrix F, so its Gram matrix G = F Fᵀ / F.size is the
+    domain's second moment over all of its examples. The value is the mean,
+    over every unordered pair of pools, of the squared Frobenius distance
+    of their Gram matrices (a constant 0 with fewer than two pools); each
+    pool's gradient is dF = (dG + dGᵀ) F / F.size, and attack maps get 0.
+    Forward and backward run the float operations of ``tsr_chain`` in
+    ``tests/reference_ops.py`` in its order, so both equal it bit for bit.
     """
+    if style_maps.ndim != 4:
+        raise ShapeError(f"batch_tsr needs (B, C, H, W) style maps, got {style_maps.shape}")
     labels = np.asarray(labels)
     domain_ids = np.asarray(domain_ids)
     bona_fide = labels == BONA_FIDE
-    grids = []
-    for dom in np.unique(domain_ids[bona_fide]):
-        rows = ad.take_rows(style_maps, np.flatnonzero(bona_fide & (domain_ids == dom)))
-        m, c, h, w = rows.shape
-        grids.append(ad.reshape(ad.transpose(rows, (1, 0, 2, 3)), (c, m * h, w)))
-    return tsr_average(grids)
+    pools = [np.flatnonzero(bona_fide & (domain_ids == dom))
+             for dom in np.unique(domain_ids[bona_fide])]
+    pairs = list(combinations(range(len(pools)), 2))
+    if not pairs:
+        return Tensor(np.zeros(()))
+    _, c, h, w = style_maps.shape
+    flats = [style_maps.data[rows].transpose(1, 0, 2, 3).reshape(c, -1) for rows in pools]
+    grams = [_gram(f) for f in flats]
+    diffs = [grams[i] - grams[j] for i, j in pairs]
+    inv_pairs = float(1.0 / len(pairs))
+
+    def backward(g):
+        k = 2.0 * float(g * inv_pairs)
+        pooled = [None] * len(pools)  # a pool's pair terms, summed in pair order
+        for (i, j), d in zip(pairs, diffs):
+            for pool, gd in ((i, k * d), (j, -(k * d))):
+                f = flats[pool]
+                gs = gd * float(1.0 / f.size)
+                term = gs @ f + (f.T @ gs).T
+                pooled[pool] = term if pooled[pool] is None else pooled[pool] + term
+        gx = np.zeros(style_maps.shape)
+        for rows, gf in zip(pools, pooled):
+            np.add.at(gx, rows, gf.reshape(c, len(rows), h, w).transpose(1, 0, 2, 3))
+        accumulate_grad(style_maps, gx)
+
+    total = sum(float((d * d).sum()) for d in diffs)
+    return graph_op(np.asarray(total * inv_pairs), (style_maps,), backward)
 
 
 def binary_cross_entropy_with_logits(logits: Tensor, labels) -> Tensor:

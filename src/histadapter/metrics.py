@@ -201,7 +201,7 @@ def acer_suite(s: ScoreSet, threshold: float = 0.5) -> tuple:
     return apcer, bpcer, (apcer + bpcer) / 2.0
 
 
-METRIC_CSV_HEADER = ("protocol,seed,variant,lambda,theta,"
+METRIC_CSV_HEADER = ("protocol,seed,variant,fusion,lambda,theta,"
                      "auc,eer,hter,tpr_at_fpr1,apcer,bpcer,acer,threshold")
 
 
@@ -216,11 +216,11 @@ class MetricReport:
     acer: float
     threshold: float
 
-    def csv_row(self, protocol: str, seed: int, variant: str,
+    def csv_row(self, protocol: str, seed: int, variant: str, fusion: str,
                 lam: float, theta: float) -> str:
         values = (self.auc, self.eer, self.hter, self.tpr_at_fpr1,
                   self.apcer, self.bpcer, self.acer, self.threshold)
-        prefix = f"{protocol},{seed},{variant},{lam:.10g},{theta:.10g}"
+        prefix = f"{protocol},{seed},{variant},{fusion},{lam:.10g},{theta:.10g}"
         return prefix + "," + ",".join(f"{v:.10g}" for v in values)
 
 

@@ -1,16 +1,21 @@
-"""Primitive ops and the chains the fused ops of ``histadapter.autodiff`` replace.
+"""Primitive ops and the chains the program's fused ops replace.
 
 The model runs ``linear``, ``cdc_conv``, ``soft_histogram`` and
-``attention`` as one graph node each. Their forward and backward follow the
-float operations of the chains below in the same order, so the fused
-results and gradients equal the chains' bit for bit. The chains are built
-from graph nodes defined here with :func:`histadapter.autodiff.graph_op`
-(``conv2d``, ``central_difference_term``, ``pad2d``, ``window_sum3x3``,
-``exp``, ``softmax_lastdim``) and from the library's own ops. Spatial ops
-take (B, C, H, W) batches, like the fused ones.
+``attention`` (``histadapter.autodiff``) and the style regularizer
+``batch_tsr`` (``histadapter.losses``) as one graph node each. Their
+forward and backward follow the float operations of the chains below in
+the same order, so the fused results and gradients equal the chains' bit
+for bit. The chains are built from graph nodes defined here with
+:func:`histadapter.autodiff.graph_op` (``sub``, ``matmul``,
+``frobenius_sq``, ``take_rows``, ``conv2d``, ``central_difference_term``,
+``pad2d``, ``window_sum3x3``, ``exp``, ``softmax_lastdim``) and from the
+library's own ops. Spatial ops take (B, C, H, W) batches, like the fused
+ones.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -19,11 +24,77 @@ from histadapter import autodiff as ad
 from histadapter.autodiff import (
     ShapeError,
     Tensor,
+    _accumulate_broadcast,
     _check_conv,
+    _check_elementwise,
+    _lift,
     _valid_taps,
     accumulate_grad,
     graph_op,
 )
+
+
+def sub(a, b) -> Tensor:
+    """Elementwise difference; one operand broadcasts into the other's shape."""
+    a, b = _lift(a), _lift(b)
+    _check_elementwise(a, b, "sub")
+
+    def backward(g):
+        _accumulate_broadcast(a, g)
+        _accumulate_broadcast(b, -g)
+
+    return graph_op(a.data - b.data, (a, b), backward)
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product on the last two axes.
+
+    2D inputs give the plain m×k @ k×n product. Higher-rank inputs are
+    treated as stacks of matrices and must share their leading extents
+    exactly (used for per-head attention).
+    """
+    a, b = _lift(a), _lift(b)
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeError(f"matmul needs matrices, got shapes {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
+        raise ShapeError(
+            f"matmul inner dimensions disagree: {a.shape} vs {b.shape}"
+        )
+    if a.shape[:-2] != b.shape[:-2]:
+        raise ShapeError(
+            f"matmul stacked dimensions disagree: {a.shape} vs {b.shape}"
+        )
+
+    def backward(g):
+        if a.requires_grad:
+            accumulate_grad(a, g @ np.swapaxes(b.data, -1, -2))
+        if b.requires_grad:
+            accumulate_grad(b, np.swapaxes(a.data, -1, -2) @ g)
+
+    return graph_op(a.data @ b.data, (a, b), backward)
+
+
+def frobenius_sq(x: Tensor) -> Tensor:
+    """Sum of squared entries (squared Frobenius norm)."""
+    x = _lift(x)
+
+    def backward(g):
+        accumulate_grad(x, 2.0 * float(g) * x.data)
+
+    return graph_op(np.asarray((x.data * x.data).sum()), (x,), backward)
+
+
+def take_rows(x: Tensor, indices) -> Tensor:
+    """Gather rows along axis 0 (duplicate indices accumulate gradient)."""
+    x = _lift(x)
+    indices = np.asarray(indices, dtype=np.intp)
+
+    def backward(g):
+        gx = np.zeros(x.shape, dtype=x.data.dtype)
+        np.add.at(gx, indices, g)
+        accumulate_grad(x, gx)
+
+    return graph_op(x.data[indices], (x,), backward)
 
 
 def _scatter_taps(taps: np.ndarray, padded_shape: tuple) -> np.ndarray:
@@ -158,7 +229,7 @@ def linear_chain(x, weight, bias):
     """``ad.linear`` as reshape, matmul, add, reshape."""
     lead = x.shape[:-1]
     flat = x if x.ndim == 2 else ad.reshape(x, (-1 if lead else 1, weight.shape[0]))
-    out = ad.add(ad.matmul(flat, weight), bias)
+    out = ad.add(matmul(flat, weight), bias)
     return out if x.ndim == 2 else ad.reshape(out, lead + (weight.shape[1],))
 
 
@@ -175,7 +246,7 @@ def histogram_chain(z, mu, gamma):
     """``ad.soft_histogram``: the mean of exp(-(gamma (z - mu))^2) over each
     zero-padded 3x3 window."""
     per_channel = (mu.shape[0], 1, 1)
-    centered = ad.sub(pad2d(z, 1), ad.reshape(mu, per_channel))
+    centered = sub(pad2d(z, 1), ad.reshape(mu, per_channel))
     u = ad.mul(ad.reshape(gamma, per_channel), centered)
     e = exp(ad.scale(ad.mul(u, u), -1.0))
     return ad.scale(window_sum3x3(e), 1.0 / 9)
@@ -190,6 +261,42 @@ def attention_chain(q, k, v, heads):
         return ad.transpose(ad.reshape(t, (b, n, heads, dh)), (0, 2, 1, 3))
 
     q, k, v = split(q), split(k), split(v)
-    scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-    ctx = ad.transpose(ad.matmul(softmax_lastdim(scores), v), (0, 2, 1, 3))
+    scores = ad.scale(matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
+    ctx = ad.transpose(matmul(softmax_lastdim(scores), v), (0, 2, 1, 3))
     return ad.reshape(ctx, (b, n, d))
+
+
+def gram_chain(z):
+    """``losses.gram`` of one (C, H, W) map as reshape, matmul with its
+    transpose, scale."""
+    c, h, w = z.shape
+    flat = ad.reshape(z, (c, h * w))
+    return ad.scale(matmul(flat, ad.transpose(flat, (1, 0))), 1.0 / (c * h * w))
+
+
+def tsr_chain(style_maps, labels, domain_ids):
+    """``losses.batch_tsr``: each domain's bona fide maps, domains ascending,
+    gathered and stacked along rows into one (C, m*H, W) map, then
+    :func:`tsr_average_chain` over those maps."""
+    labels = np.asarray(labels)
+    domain_ids = np.asarray(domain_ids)
+    bona_fide = labels == 0
+    grids = []
+    for dom in np.unique(domain_ids[bona_fide]):
+        rows = take_rows(style_maps, np.flatnonzero(bona_fide & (domain_ids == dom)))
+        m, c, h, w = rows.shape
+        grids.append(ad.reshape(ad.transpose(rows, (1, 0, 2, 3)), (c, m * h, w)))
+    return tsr_average_chain(grids)
+
+
+def tsr_average_chain(grids):
+    """The mean, over every unordered pair of (C, H, W) maps, of the squared
+    Frobenius distance between their Gram matrices (0 with fewer than two)."""
+    pairs = list(combinations(grids, 2))
+    if not pairs:
+        return Tensor(np.zeros(()))
+    values = [frobenius_sq(sub(gram_chain(a), gram_chain(b))) for a, b in pairs]
+    total = values[0]
+    for value in values[1:]:
+        total = ad.add(total, value)
+    return ad.scale(total, 1.0 / len(pairs))

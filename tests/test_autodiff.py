@@ -50,7 +50,7 @@ class TestElementwise:
         out = ad.mul(Tensor([[1.0, 2.0], [3.0, 4.0]]), 2.0)
         assert np.array_equal(out.data, [[2.0, 4.0], [6.0, 8.0]])
 
-    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul])
+    @pytest.mark.parametrize("op", [ad.add, ref.sub, ad.mul])
     def test_shape_mismatch_rejected(self, op):
         with pytest.raises(ShapeError, match="shapes"):
             op(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
@@ -70,7 +70,7 @@ class TestElementwise:
         assert x.grad is None
 
 
-BINARY_OPS = [(ad.add, np.add), (ad.sub, np.subtract), (ad.mul, np.multiply)]
+BINARY_OPS = [(ad.add, np.add), (ref.sub, np.subtract), (ad.mul, np.multiply)]
 
 
 class TestBroadcast:
@@ -96,7 +96,7 @@ class TestBroadcast:
             rep = finite_difference_check(f, operands[i])
             assert rep.max_relative_error < 1e-6
 
-    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul])
+    @pytest.mark.parametrize("op", [ad.add, ref.sub, ad.mul])
     @pytest.mark.parametrize("first,second", [((2, 1), (2,)), ((2,), (2, 1)),
                                               ((3, 1), (1, 4)), ((1, 4), (3, 1))])
     def test_result_in_neither_operand_shape_rejected(self, op, first, second):
@@ -108,16 +108,16 @@ class TestMatmul:
     def test_identity(self):
         rng = np.random.default_rng(1)
         m = Tensor(rng.standard_normal((2, 2)))
-        out = ad.matmul(Tensor(np.eye(2)), m)
+        out = ref.matmul(Tensor(np.eye(2)), m)
         assert np.array_equal(out.data, m.data)
 
     def test_direct(self):
-        out = ad.matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
+        out = ref.matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
         assert np.array_equal(out.data, [[11.0]])
 
     def test_inner_mismatch(self):
         with pytest.raises(ShapeError, match="inner"):
-            ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+            ref.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
     def test_gradient_random(self):
         rng = np.random.default_rng(2)
@@ -125,9 +125,9 @@ class TestMatmul:
         b = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
         head = weighted_head(rng, (3, 2))
         assert finite_difference_check(
-            lambda t: head(ad.matmul(t, b)), a).max_relative_error < 1e-6
+            lambda t: head(ref.matmul(t, b)), a).max_relative_error < 1e-6
         assert finite_difference_check(
-            lambda t: head(ad.matmul(a, t)), b).max_relative_error < 1e-6
+            lambda t: head(ref.matmul(a, t)), b).max_relative_error < 1e-6
 
     def test_frozen_operand_gets_no_gradient_built(self, monkeypatch):
         passed = []
@@ -137,15 +137,16 @@ class TestMatmul:
             passed.append(t)
             accumulate(t, g)
 
-        monkeypatch.setattr(ad, "accumulate_grad", spy)
+        monkeypatch.setattr(ref, "accumulate_grad", spy)
         rng = np.random.default_rng(3)
         frozen_a = Tensor(rng.standard_normal((3, 4)))
         frozen_b = Tensor(rng.standard_normal((4, 2)))
         live_a = Tensor(frozen_a.data.copy(), requires_grad=True)
         live_b = Tensor(frozen_b.data.copy(), requires_grad=True)
         for lhs, rhs in ((frozen_a, live_b), (live_a, frozen_b)):
-            ad.sum_all(ad.matmul(lhs, rhs)).backward()
+            ad.sum_all(ref.matmul(lhs, rhs)).backward()
         assert not any(t is frozen_a or t is frozen_b for t in passed)
+        assert any(t is live_a for t in passed) and any(t is live_b for t in passed)
         assert live_a.grad is not None and live_b.grad is not None
 
 
@@ -228,7 +229,7 @@ class TestActivationsAndNorms:
         assert np.all(out.data > 0.0) and np.all(out.data < 1.0)
 
     def test_frobenius_zero(self):
-        assert ad.frobenius_sq(Tensor(np.zeros((3, 3)))).data == 0.0
+        assert ref.frobenius_sq(Tensor(np.zeros((3, 3)))).data == 0.0
 
     def test_layernorm_standardizes(self):
         rng = np.random.default_rng(7)
@@ -251,7 +252,7 @@ class TestFiniteDifferenceCheck:
 
     def test_frobenius_analytic(self):
         x = Tensor(np.random.default_rng(9).standard_normal((3, 3)), requires_grad=True)
-        rep = finite_difference_check(ad.frobenius_sq, x)
+        rep = finite_difference_check(ref.frobenius_sq, x)
         assert rep.max_relative_error < 1e-7
 
     def test_report_fields(self):
@@ -290,10 +291,10 @@ class TestBackward:
     def test_array_index_rejected_for_take_rows(self):
         x = Tensor(np.ones((3, 2)), requires_grad=True)
         for idx in (np.array([0, 0, 2]), [0, 0, 2], (0, [1, 1]), np.array([True, False, True])):
-            with pytest.raises(ShapeError, match="take_rows"):
+            with pytest.raises(ShapeError, match="ints, slices, None and Ellipsis"):
                 x[idx]
         # the gather that accumulates a repeated row's gradient
-        ad.sum_all(ad.take_rows(x, [0, 0, 2])).backward()
+        ad.sum_all(ref.take_rows(x, [0, 0, 2])).backward()
         assert np.array_equal(x.grad, [[2, 2], [0, 0], [1, 1]])
 
 
@@ -336,11 +337,11 @@ class TestNoGrad:
         w = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
         x = Tensor(rng.standard_normal((2, 3)))
         with ad.no_grad():
-            outs = [ad.matmul(x, w), ad.gelu(w), ad.sum_all(ad.add(w, w)), w[:1]]
+            outs = [ref.matmul(x, w), ad.gelu(w), ad.sum_all(ad.add(w, w)), w[:1]]
         for out in outs:
             assert not out.requires_grad
             assert out._parents == () and out._backward is None
-        assert np.array_equal(outs[0].data, ad.matmul(x, w).data)
+        assert np.array_equal(outs[0].data, ref.matmul(x, w).data)
 
     def test_mode_restored_after_nesting_and_exception(self):
         w = Tensor(np.ones(3), requires_grad=True)
@@ -358,7 +359,7 @@ class TestNoGrad:
 
 OPS_FOR_SWEEP = [
     ("add", lambda rng: _binary_case(rng, ad.add)),
-    ("sub", lambda rng: _binary_case(rng, ad.sub)),
+    ("sub", lambda rng: _binary_case(rng, ref.sub)),
     ("mul", lambda rng: _binary_case(rng, ad.mul)),
     ("scale", lambda rng: _binary_case(rng, lambda a, b: ad.scale(a, 1.7))),
     ("matmul", lambda rng: _matmul_case(rng)),
@@ -370,6 +371,8 @@ OPS_FOR_SWEEP = [
     ("gelu", lambda rng: _unary_case(rng, ad.gelu)),
     ("layernorm", lambda rng: _layernorm_case(rng)),
     ("window_sum", lambda rng: _unary3_case(rng, lambda t: ref.window_sum3x3(ref.pad2d(t, 1)))),
+    ("frobenius_sq", lambda rng: _scalar_case(rng, ref.frobenius_sq)),
+    ("take_rows", lambda rng: _take_rows_case(rng)),
 ]
 
 
@@ -392,11 +395,22 @@ def _unary3_case(rng, op):
     return lambda t: head(op(t)), x
 
 
+def _scalar_case(rng, op):
+    x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    return op, x
+
+
+def _take_rows_case(rng):
+    head = weighted_head(rng, (4, 3))
+    x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    return lambda t: head(ref.take_rows(t, [0, 3, 3, 1])), x
+
+
 def _matmul_case(rng):
     b = Tensor(rng.standard_normal((4, 2)))
     head = weighted_head(rng, (3, 2))
     x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-    return lambda t: head(ad.matmul(t, b)), x
+    return lambda t: head(ref.matmul(t, b)), x
 
 
 def _attention_case(rng):

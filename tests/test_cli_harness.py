@@ -10,12 +10,17 @@ from hypothesis import strategies as st
 
 from histadapter import cli, losses, training
 from histadapter.adapter import FUSIONS, VARIANTS
-from histadapter.autodiff import ShapeError
+from histadapter.autodiff import ShapeError, Tensor, no_grad
+from histadapter.checkpoint import assign_parameters, load_checkpoint
 from histadapter.cli import main
 from histadapter.config import RunConfig, load_config, parse_config_text
+from histadapter.metrics import METRIC_CSV_HEADER, MetricReport
 from histadapter.optim import Adam
+from histadapter.synth import source_validation
 from histadapter.training import evaluate_run, train_run
 from histadapter.vit import PRESETS, build_model
+
+from oracles import eer_sweep
 
 
 SMALL = {
@@ -149,6 +154,21 @@ class TestTrainEval:
         for field in ("auc", "eer", "hter", "acer"):
             assert 0.0 <= getattr(report, field) <= 1.0
 
+    def test_eval_threshold_is_the_source_validation_eer_point(self, trained):
+        # the held-out scores must not reach the threshold: it is the EER point
+        # of source-validation scores, computed here without evaluate_run
+        cfg, result = trained
+        model = build_model(cfg.preset, cfg.seed, adapter_dim=cfg.adapter_dim,
+                            theta=cfg.theta, variant=cfg.variant, fusion=cfg.fusion)
+        assign_parameters(model.parameters(), load_checkpoint(result.checkpoint_path))
+        val = source_validation(training.build_protocol(cfg), cfg.val_per_class,
+                                PRESETS[cfg.preset].image)
+        with no_grad():
+            scores = losses.attack_probabilities(model.forward(Tensor(val.images.data)))
+        _, want = eer_sweep(list(map(float, scores)), list(map(int, val.labels)))
+        assert evaluate_run(cfg, result.checkpoint_path).threshold == pytest.approx(
+            want, rel=0, abs=1e-12)
+
     def test_lambda_zero_logs_zero_tsr_column(self, tmp_path):
         cfg = load_config(None, {**SMALL, "out": str(tmp_path), "lambda": "0"})
         result = train_run(cfg)
@@ -249,7 +269,8 @@ class TestCliCommands:
         assert "protocol,seed,variant" in captured
         metrics = (out / "metrics.csv").read_text().splitlines()
         assert len(metrics) == 2
-        assert metrics[1].startswith("loo3of4,2,full,")
+        assert metrics[0] == METRIC_CSV_HEADER
+        assert metrics[1].startswith("loo3of4,2,full,sum,")
 
     def test_eval_rejects_corrupt_checkpoint(self, tmp_path):
         bogus = tmp_path / "bad.ckpt"
@@ -289,6 +310,20 @@ class TestCliCommands:
         summary = (tmp_path / "ab" / "ablation_summary.csv").read_text().splitlines()
         assert summary[0] == "variant,theta,lambda,fusion,mean_hter"
         assert len(summary) == 2
+
+    def test_ablate_rows_name_their_fusion(self, tmp_path, monkeypatch):
+        report = MetricReport(*(0.25,) * 8)  # every cell gets the same metrics
+        monkeypatch.setattr(cli, "train_run", lambda cfg: training.TrainResult(
+            tmp_path / "model.ckpt", tmp_path / "log.csv", {}))
+        monkeypatch.setattr(cli, "evaluate_run", lambda cfg, path: report)
+        assert main(["ablate", "--out", str(tmp_path / "ab"), "--variants", "full",
+                     "--thetas", "0.7", "--lambdas", "0", "--fusions", "sum,concat",
+                     "--seeds", "0"]) == 0
+        with (tmp_path / "ab" / "ablation.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["fusion"] for row in rows] == ["sum", "concat"]
+        assert [{k: v for k, v in row.items() if k != "fusion"} for row in rows] == \
+            [{k: v for k, v in rows[0].items() if k != "fusion"}] * 2
 
     def test_ablate_cells_keep_set_overrides(self, tmp_path, monkeypatch):
         cells = []

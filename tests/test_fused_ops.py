@@ -1,7 +1,8 @@
 """The fused ops equal the primitive chains they replace, bit for bit.
 
-``linear``, ``cdc_conv``, ``soft_histogram`` and ``attention`` each build
-one graph node with a hand-written backward. Each test runs the fused op
+``linear``, ``cdc_conv``, ``soft_histogram``, ``attention`` and the style
+regularizer ``batch_tsr`` each build one graph node with a hand-written
+backward. Each test runs the fused op
 and its chain of primitives from ``reference_ops.py`` on copies of the same
 operands, backpropagates the same random readout through both, and
 compares the output and every operand's gradient with ``np.array_equal``.
@@ -19,11 +20,23 @@ from histadapter import autodiff as ad
 from histadapter import training
 from histadapter.autodiff import ShapeError, Tensor
 from histadapter.config import load_config
-from histadapter.losses import batch_tsr, binary_cross_entropy_with_logits, total_loss
+from histadapter.losses import (
+    batch_tsr,
+    binary_cross_entropy_with_logits,
+    total_loss,
+    tsr_average,
+)
 from histadapter.synth import split_protocol
 from histadapter.vit import PRESETS
 
-from reference_ops import attention_chain, cdc_chain, histogram_chain, linear_chain
+from reference_ops import (
+    attention_chain,
+    cdc_chain,
+    histogram_chain,
+    linear_chain,
+    tsr_average_chain,
+    tsr_chain,
+)
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "ablation.cfg"
 
@@ -157,6 +170,96 @@ class TestAttention:
             ad.attention(*(Tensor(np.zeros(s)) for s in shapes), heads)
 
 
+def bits(a: np.ndarray) -> np.ndarray:
+    """The float64 array's bit patterns, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def tsr_batch(rng, pool_sizes, attacks=2):
+    """Style maps, labels and domain ids: ``pool_sizes[d]`` bona fide maps of
+    domain ``d``, plus ``attacks`` attack maps, all in a shuffled order."""
+    labels = np.array([0] * sum(pool_sizes) + [1] * attacks)
+    domains = np.concatenate([np.full(m, d) for d, m in enumerate(pool_sizes)]
+                             + [rng.integers(0, len(pool_sizes), attacks)])
+    order = rng.permutation(len(labels))
+    return rng.standard_normal((len(labels), 3, 2, 4)), labels[order], domains[order]
+
+
+class TestBatchTsr:
+    @pytest.mark.parametrize("pool_sizes", [(1, 3), (2, 1, 4), (3, 1, 2, 2), (1, 2, 4, 1, 3)],
+                             ids=["2-domains", "3-domains", "4-domains", "5-domains"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_chain_bit_for_bit(self, pool_sizes, seed):
+        rng = np.random.default_rng(seed)
+        maps, labels, domains = tsr_batch(rng, pool_sizes)
+        upstream = rng.standard_normal()
+        results = []
+        for op in (batch_tsr, tsr_chain):
+            x = Tensor(maps.copy(), requires_grad=True)
+            out = op(x, labels, domains)
+            ad.scale(out, upstream).backward()
+            results.append((out.data, x.grad))
+        (value_f, grad_f), (value_c, grad_c) = results
+        assert np.array_equal(bits(value_f), bits(value_c))
+        assert np.array_equal(bits(grad_f), bits(grad_c))
+        assert np.all(grad_f[labels == 1] == 0.0)
+        assert np.all(np.any(grad_f[labels == 0] != 0.0, axis=(1, 2, 3)))
+
+    def test_is_one_node(self):
+        maps, labels, domains = tsr_batch(np.random.default_rng(3), (2, 2, 1))
+        x = Tensor(maps, requires_grad=True)
+        out = batch_tsr(x, labels, domains)
+        assert out._parents == (x,)
+        assert grad_ops(out) == [out]
+
+    def test_accumulates_into_an_existing_gradient(self):
+        maps, labels, domains = tsr_batch(np.random.default_rng(4), (2, 3, 1))
+        grads = []
+        for op in (batch_tsr, tsr_chain):
+            x = Tensor(maps.copy(), requires_grad=True)
+            ad.sum_all(ad.add(op(x, labels, domains), ad.sum_all(ad.scale(x, 0.5)))).backward()
+            grads.append(x.grad)
+        assert np.array_equal(bits(grads[0]), bits(grads[1]))
+
+    def test_frozen_maps_build_no_node(self):
+        maps, labels, domains = tsr_batch(np.random.default_rng(5), (2, 1, 3))
+        frozen = Tensor(maps)
+        fused = batch_tsr(frozen, labels, domains)
+        assert not fused.requires_grad and fused._parents == ()
+        assert np.array_equal(bits(fused.data), bits(tsr_chain(frozen, labels, domains).data))
+        assert frozen.grad is None
+
+    def test_matches_chain_under_no_grad(self):
+        maps, labels, domains = tsr_batch(np.random.default_rng(6), (3, 2, 2, 1))
+        x = Tensor(maps, requires_grad=True)
+        with ad.no_grad():
+            fused = batch_tsr(x, labels, domains)
+            chain = tsr_chain(x, labels, domains)
+        assert not fused.requires_grad and fused._parents == ()
+        assert np.array_equal(bits(fused.data), bits(chain.data))
+
+    @pytest.mark.parametrize("labels, domains", [([0, 0, 1, 1], [0, 0, 0, 0]),
+                                                 ([0, 1, 1, 1], [0, 0, 1, 1])],
+                             ids=["one-domain", "one-bona-fide-domain"])
+    def test_fewer_than_two_pools_is_a_constant_zero(self, labels, domains):
+        x = Tensor(np.random.default_rng(7).standard_normal((4, 2, 2, 2)), requires_grad=True)
+        out = batch_tsr(x, labels, domains)
+        assert out.data == 0.0 and not out.requires_grad
+
+    @pytest.mark.parametrize("count", [2, 3, 4])
+    def test_tsr_average_matches_chain_bit_for_bit(self, count):
+        rng = np.random.default_rng(count)
+        arrays = [rng.standard_normal((3, 4, 2)) for _ in range(count)]
+        results = []
+        for op in (tsr_average, tsr_average_chain):
+            grids = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            out = op(grids)
+            out.backward()
+            results.append([out.data] + [g.grad for g in grids])
+        for fused, chain in zip(*results):
+            assert np.array_equal(bits(fused), bits(chain))
+
+
 def grad_ops(root: Tensor) -> list:
     """Ops with a backward that are reachable from ``root`` through grad-carrying tensors."""
     seen, stack, ops = set(), [root], []
@@ -189,9 +292,9 @@ def first_toy_step():
     return model, total_loss(bce, tsr, cfg.tsr_lambda)
 
 
-def test_one_toy_training_step_builds_under_160_grad_ops():
+def test_one_toy_training_step_builds_under_140_grad_ops():
     _, loss = first_toy_step()
-    assert len(grad_ops(loss)) < 160
+    assert len(grad_ops(loss)) < 140
 
 
 def test_backward_of_a_toy_training_step_frees_its_graph():

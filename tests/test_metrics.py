@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from histadapter.metrics import (
+    METRIC_CSV_HEADER,
     ScoreSet,
     acer_suite,
     auc,
@@ -193,9 +194,9 @@ class TestValidationAndReport:
         report = evaluate_scores(s, threshold=0.5)
         for field in ("auc", "eer", "hter", "tpr_at_fpr1", "apcer", "bpcer", "acer"):
             assert 0.0 <= getattr(report, field) <= 1.0
-        row = report.csv_row("loo3", 0, "full", 0.1, 0.7)
-        assert row.startswith("loo3,0,full,0.1,0.7,")
-        assert len(row.split(",")) == 13
+        row = report.csv_row("loo3", 0, "full", "concat", 0.1, 0.7)
+        assert row.startswith("loo3,0,full,concat,0.1,0.7,")
+        assert len(row.split(",")) == len(METRIC_CSV_HEADER.split(",")) == 14
 
 
 # scores on a seven-point grid, so ties within and across classes are common

@@ -4,7 +4,10 @@ Trains three epochs of ``configs/ablation.cfg`` for every variant x fusion
 pair, plus three runs with TSR off (``lambda=0``, where the last block
 computes only the class row after attention), plus ``full``/``sum`` at
 batch size 4 (some of its batches hold a bona fide example from fewer than
-two domains, so their TSR is a constant and reaches no parameter), and
+two domains, so their TSR is a constant and reaches no parameter), plus
+``full``/``sum`` with ``few_shot_k=4`` (the held-out domain lends four
+examples per class, so four domains enter the TSR and each domain's
+gradient sums three pair terms, where the order of the sum shows), and
 prints the sha256 of each run's ``model.ckpt`` and ``train_log.csv``. Next
 comes the sha256 of the CSV that ``histadapter gradcheck --out`` writes. A
 change that alters no float operation prints the same rows as its parent.
@@ -43,6 +46,7 @@ def main() -> None:
     runs += [(f"{v}/{f}/lambda=0", {"variant": v, "fusion": f, "lambda": 0})
              for v, f in (("full", "sum"), ("vanilla_linear", "sum"), ("full", "concat"))]
     runs.append(("full/sum/batch_size=4", {"batch_size": 4}))
+    runs.append(("full/sum/few_shot_k=4", {"few_shot_k": 4}))
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         for name, overrides in runs:
