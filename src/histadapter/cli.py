@@ -61,15 +61,18 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _config_from(args)
+    out_dir = Path(cfg.out)
+    path = out_dir / "metrics.csv"
+    header = path.read_text().split("\n", 1)[0] if path.exists() else ""
+    if header not in ("", METRIC_CSV_HEADER):
+        raise ValueError(f"{path} has header {header!r}; eval appends rows under "
+                         f"{METRIC_CSV_HEADER!r}")
     report = evaluate_run(cfg, args.checkpoint)
     row = report.csv_row(cfg.protocol_name, cfg.seed, cfg.variant, cfg.fusion,
                          cfg.tsr_lambda, cfg.theta)
-    out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "metrics.csv"
-    new_file = not path.exists()
     with path.open("a") as fh:
-        if new_file:
+        if not header:
             fh.write(METRIC_CSV_HEADER + "\n")
         fh.write(row + "\n")
     print(METRIC_CSV_HEADER)

@@ -3,8 +3,10 @@
 Each check builds a scalar via a fixed random-weight readout of the op
 output (a plain mean would leave structurally zero gradient entries whose
 finite-difference noise, divided by the small-denominator floor, looks
-like spurious error). Per-op tolerance is 1e-5; the fully composed
-adapter is checked end to end at 1e-4.
+like spurious error). Each weight's magnitude lies in [0.5, 1.5), so no
+gradient entry shrinks toward 0 through a near-zero weight either.
+Per-op tolerance is 1e-5; the fully composed adapter is checked end to
+end at 1e-4.
 """
 
 from __future__ import annotations
@@ -22,8 +24,13 @@ OP_TOLERANCE = 1e-5
 COMPOSED_TOLERANCE = 1e-4
 
 
-def _readout(rng, shape):
-    w = Tensor(rng.standard_normal(shape))
+def _signed_magnitudes(rng, shape):
+    """Entries of magnitude in [0.5, 1.5), each of random sign."""
+    return rng.uniform(0.5, 1.5, shape) * rng.choice([-1.0, 1.0], shape)
+
+
+def _readout(rng, shape, draw=_signed_magnitudes):
+    w = Tensor(draw(rng, shape))
 
     def head(out):
         return ad.sum_all(ad.mul(out, w))
@@ -100,17 +107,11 @@ def _histogram_operands(rng, shapes):
     z_shape, mu_shape, gamma_shape = shapes
     mu = -rng.uniform(0.5, 1.5, mu_shape)
     z = mu[:, None, None] + rng.uniform(0.5, 1.5, z_shape)
-    gamma = rng.uniform(0.5, 1.5, gamma_shape) * rng.choice([-1.0, 1.0], gamma_shape)
-    return [z, mu, gamma]
+    return [z, mu, _signed_magnitudes(rng, gamma_shape)]
 
 
 def _positive_readout(rng, shape):
-    w = Tensor(rng.uniform(0.5, 1.5, shape))
-
-    def head(out):
-        return ad.sum_all(ad.mul(out, w))
-
-    return head
+    return _readout(rng, shape, lambda rng, shape: rng.uniform(0.5, 1.5, shape))
 
 
 # (op, operand names, operand shapes[, draw, readout]): one row per operand,

@@ -159,26 +159,28 @@ def eer(s: ScoreSet) -> tuple:
     return float(value), float(threshold)
 
 
+def _error_rates(s: ScoreSet, threshold: float) -> tuple:
+    """(FAR, FRR) at a fixed decision threshold."""
+    s.require_both_classes()
+    far = np.mean(s.scores[s.labels == 1] < threshold)
+    frr = np.mean(s.scores[s.labels == 0] >= threshold)
+    return float(far), float(frr)
+
+
 def hter(s: ScoreSet, threshold: float) -> float:
     """Half-total error rate at a fixed decision threshold."""
-    s.require_both_classes()
-    attacks = s.scores[s.labels == 1]
-    bona = s.scores[s.labels == 0]
-    far = np.mean(attacks < threshold)
-    frr = np.mean(bona >= threshold)
-    return float((far + frr) / 2.0)
+    far, frr = _error_rates(s, threshold)
+    return (far + frr) / 2.0
 
 
 def tpr_at_fpr(s: ScoreSet, target_fpr: float = 0.01) -> float:
     """Interpolated TPR where the ROC reaches the target FPR."""
     curve = roc(s)
     fpr, tpr = curve.fpr, curve.tpr
-    # collapse vertical segments: best tpr attainable at each fpr
-    best: dict = {}
-    for f, t in zip(fpr, tpr):
-        best[f] = max(best.get(f, 0.0), t)
-    xs = np.array(sorted(best))
-    ys = np.array([best[x] for x in xs])
+    # collapse vertical segments: the sweep is monotone, so the last point of
+    # each run of equal fpr holds the best tpr attainable at that fpr
+    last = np.append(fpr[1:] != fpr[:-1], True)
+    xs, ys = fpr[last], tpr[last]
     if target_fpr <= xs[0]:
         return float(ys[0]) if target_fpr == xs[0] else 0.0
     j = int(np.searchsorted(xs, target_fpr, side="left"))
@@ -191,13 +193,9 @@ def tpr_at_fpr(s: ScoreSet, target_fpr: float = 0.01) -> float:
 
 def acer_suite(s: ScoreSet, threshold: float = 0.5) -> tuple:
     """(APCER, BPCER, ACER) at a fixed threshold on probability scores."""
-    s.require_both_classes()
     if np.any(s.scores < 0.0) or np.any(s.scores > 1.0):
         raise ValueError("ACER expects probability scores in [0, 1]")
-    attacks = s.scores[s.labels == 1]
-    bona = s.scores[s.labels == 0]
-    apcer = float(np.mean(attacks < threshold))
-    bpcer = float(np.mean(bona >= threshold))
+    apcer, bpcer = _error_rates(s, threshold)
     return apcer, bpcer, (apcer + bpcer) / 2.0
 
 

@@ -141,3 +141,26 @@ def acer_counting(scores, labels, threshold=0.5):
     apcer = sum(1 for s in attacks if s < threshold) / len(attacks)
     bpcer = sum(1 for s in bona if s >= threshold) / len(bona)
     return apcer, bpcer, (apcer + bpcer) / 2.0
+
+
+def tpr_at_fpr_sweep(scores, labels, target_fpr):
+    """Brute-force ROC over every distinct threshold, the best TPR kept at
+    each FPR, then linear interpolation between the bracketing points."""
+    n_attack = sum(1 for l in labels if l == 1)
+    n_bona = len(labels) - n_attack
+    best = {0.0: 0.0}
+    for t in sorted(set(scores), reverse=True):
+        tp = sum(1 for s, l in zip(scores, labels) if l == 1 and s >= t)
+        fp = sum(1 for s, l in zip(scores, labels) if l == 0 and s >= t)
+        fpr, tpr = fp / n_bona, tp / n_attack
+        best[fpr] = max(best.get(fpr, 0.0), tpr)
+    xs = sorted(best)
+    if target_fpr <= xs[0]:
+        return best[xs[0]] if target_fpr == xs[0] else 0.0
+    for x0, x1 in zip(xs, xs[1:]):
+        if target_fpr == x1:
+            return best[x1]
+        if x0 < target_fpr < x1:
+            y0, y1 = best[x0], best[x1]
+            return y0 + (target_fpr - x0) / (x1 - x0) * (y1 - y0)
+    raise AssertionError("target fpr beyond the curve")

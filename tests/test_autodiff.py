@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from histadapter import autodiff as ad
+from histadapter import gradcheck
 from histadapter.autodiff import ShapeError, Tensor, finite_difference_check
 from histadapter.gradcheck import run_gradient_checks
 
@@ -453,6 +454,29 @@ def test_gradcheck_has_a_row_for_every_op():
     checked = {r.op_name.split("/")[0] for r in run_gradient_checks(instances_per_op=1)}
     assert NOT_OPS <= set(ad.__all__)
     assert set(ad.__all__) - NOT_OPS - checked == set()
+
+
+@pytest.mark.parametrize("seed", [17, 285, 441, 670])
+def test_gradcheck_passes_where_a_near_zero_readout_weight_failed_it(seed):
+    # at these seeds a standard-normal readout once drew weights near 0, and
+    # gelu, cdc_conv/input and adapter/cdc.kernel failed on correct code
+    failures = [r for r in run_gradient_checks(instances_per_op=1, seed=seed) if not r.passed]
+    assert failures == []
+
+
+def test_gradcheck_fails_a_gelu_backward_off_by_1e_4(monkeypatch):
+    def gelu_scaled_backward(x):
+        y = ad.gelu(x)
+        return ad.graph_op(y.data, (y,), lambda g: ad.accumulate_grad(y, g * (1.0 + 1e-4)))
+
+    checks = [(gelu_scaled_backward, *row[1:]) if row[1] == ("gelu",) else row
+              for row in gradcheck.CHECKS]
+    assert checks != gradcheck.CHECKS
+    monkeypatch.setattr(gradcheck, "CHECKS", checks)
+    for seed in range(20):
+        (gelu,) = [r for r in run_gradient_checks(instances_per_op=1, seed=seed)
+                   if r.op_name == "gelu"]
+        assert not gelu.passed, f"seed {seed}: rel err {gelu.max_relative_error:.2e}"
 
 
 def _layernorm_case(rng):

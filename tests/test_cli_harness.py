@@ -272,6 +272,21 @@ class TestCliCommands:
         assert metrics[0] == METRIC_CSV_HEADER
         assert metrics[1].startswith("loo3of4,2,full,sum,")
 
+    def test_eval_refuses_metrics_csv_with_another_header(self, tmp_path):
+        # a header from before the fusion column; the checkpoint does not
+        # exist, so the header is checked before any evaluation
+        old_header = METRIC_CSV_HEADER.replace("fusion,", "")
+        path = tmp_path / "metrics.csv"
+        path.write_text(old_header + "\nloo3of4,0,full,0.1,0.7" + ",0.5" * 8 + "\n")
+        before = path.read_bytes()
+        with pytest.raises(ValueError) as info:
+            main(["eval", "--out", str(tmp_path), "--checkpoint",
+                  str(tmp_path / "missing.ckpt")])
+        message = str(info.value)
+        assert str(path) in message
+        assert repr(old_header) in message and repr(METRIC_CSV_HEADER) in message
+        assert path.read_bytes() == before
+
     def test_eval_rejects_corrupt_checkpoint(self, tmp_path):
         bogus = tmp_path / "bad.ckpt"
         bogus.write_bytes(b"JUNK" + b"\x00" * 32)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +20,7 @@ from histadapter.metrics import (
     tpr_at_fpr,
 )
 
-from oracles import acer_counting, auc_pairwise, eer_sweep, hter_counting
+from oracles import acer_counting, auc_pairwise, eer_sweep, hter_counting, tpr_at_fpr_sweep
 
 
 def random_scoreset(rng, n=None, tie_prob=0.0):
@@ -33,6 +38,19 @@ def random_scoreset(rng, n=None, tie_prob=0.0):
         mask = rng.uniform(size=n) < tie_prob
         scores[mask] = np.round(scores[mask], 1)
     return ScoreSet(scores, labels)
+
+
+# scores on a seven-point grid, so ties within and across classes are common
+GRID = st.integers(0, 6).map(lambda k: k / 6)
+
+
+@st.composite
+def score_lists(draw, values=GRID, unique=False):
+    labels = draw(st.lists(st.integers(0, 1), min_size=2, max_size=40)
+                  .filter(lambda labels: 0 < sum(labels) < len(labels)))
+    scores = draw(st.lists(values, min_size=len(labels), max_size=len(labels),
+                           unique=unique))
+    return scores, labels
 
 
 class TestAuc:
@@ -166,6 +184,17 @@ class TestTprAtFpr:
         assert tpr_at_fpr(s, 0.25) == 0.75
         assert tpr_at_fpr(s, 0.0) == 0.5
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(score_lists(), score_lists(st.floats(0.0, 1.0), unique=True)), st.data())
+    def test_equals_sweep_oracle_exactly(self, case, data):
+        scores, labels = case
+        # targets on the ROC's fpr points, where a vertical run is collapsed, and between them
+        n_bona = labels.count(0)
+        target = data.draw(st.one_of(st.integers(0, n_bona).map(lambda k: k / n_bona),
+                                     st.floats(0.0, 1.0)))
+        assert tpr_at_fpr(ScoreSet(scores, labels), target) == \
+            tpr_at_fpr_sweep(scores, labels, target)
+
 
 class TestValidationAndReport:
     def test_single_class_rejected(self):
@@ -199,21 +228,9 @@ class TestValidationAndReport:
         assert len(row.split(",")) == len(METRIC_CSV_HEADER.split(",")) == 14
 
 
-# scores on a seven-point grid, so ties within and across classes are common
-GRID = st.integers(0, 6).map(lambda k: k / 6)
-
-
-@st.composite
-def tied_score_lists(draw):
-    labels = draw(st.lists(st.integers(0, 1), min_size=2, max_size=40)
-                  .filter(lambda labels: 0 < sum(labels) < len(labels)))
-    scores = draw(st.lists(GRID, min_size=len(labels), max_size=len(labels)))
-    return scores, labels
-
-
 class TestOraclesOnTiedGrids:
     @settings(max_examples=300, deadline=None)
-    @given(tied_score_lists())
+    @given(score_lists())
     def test_auc_and_eer(self, case):
         scores, labels = case
         s = ScoreSet(scores, labels)
@@ -221,9 +238,24 @@ class TestOraclesOnTiedGrids:
         assert eer(s) == eer_sweep(scores, labels)
 
     @settings(max_examples=300, deadline=None)
-    @given(tied_score_lists(), GRID)
+    @given(score_lists(), GRID)
     def test_hter_and_acer(self, case, threshold):
         scores, labels = case
         s = ScoreSet(scores, labels)
         assert hter(s, threshold) == hter_counting(scores, labels, threshold)
         assert acer_suite(s) == acer_counting(scores, labels)
+
+
+def test_metrics_imports_alone():
+    # the package root re-exports nothing, so a submodule loads only itself:
+    # no autodiff engine and no scipy behind the metrics
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys, histadapter.metrics; "
+            "print(sorted(m for m in ('scipy', 'histadapter.autodiff') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
