@@ -13,10 +13,12 @@ replaces, so results and gradients equal the chain's bit for bit;
 ``tests/reference_ops.py`` holds those chains and the primitives only
 they use (``sub``, ``matmul``, ``frobenius_sq``, ``take_rows``, ...).
 
-Backward consumes the graph: :meth:`Tensor.backward` frees each interior
-node's parents, gradient and closure once the node's backward has run, so
-a step's scratch arrays do not outlive the pass. Leaves keep ``grad``;
-a second backward through a consumed node raises ``ValueError``.
+Nodes link gradient records, not data, and each backward keeps only the
+arrays it reads, so an interior tensor's ``data`` lives only while its
+caller holds it or some backward reads it. Backward consumes the graph:
+:meth:`Tensor.backward` drops each record's parents, gradient and backward
+once that backward has run. Leaves keep ``grad``; a second backward
+through a consumed node raises ``ValueError``.
 
 Conventions:
   * convolution is cross-correlation (no kernel flip), stride 1, zero
@@ -75,6 +77,25 @@ class ShapeError(ValueError):
     """Raised when operand shapes violate an operation's contract."""
 
 
+class _Record:
+    """A tensor's place in the graph: whether it gets a gradient, the gradient,
+    its parents' records and its backward. It holds no data, so a node's
+    output is freed when its tensor is, unless some backward saved it."""
+
+    __slots__ = ("requires_grad", "grad", "parents", "backward", "__weakref__")
+
+    def __init__(self, requires_grad: bool):
+        self.requires_grad = requires_grad
+        self.grad = None
+        self.parents: tuple = ()
+        self.backward: Callable | None = None
+
+
+def _record_field(name: str) -> property:
+    return property(lambda t: getattr(t._record, name),
+                    lambda t, value: setattr(t._record, name, value))
+
+
 class Tensor:
     """n-dimensional real array that records the ops producing it.
 
@@ -85,14 +106,16 @@ class Tensor:
     safe to share across threads.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "__weakref__")
+    __slots__ = ("data", "_record", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad)
-        self.grad = None
-        self._parents: tuple = ()
-        self._backward: Callable | None = None
+        self._record = _Record(bool(requires_grad))
+
+    # graph fields live on the record; ``_backward`` may be replaced to wrap it
+    requires_grad = _record_field("requires_grad")
+    grad = _record_field("grad")
+    _backward = _record_field("backward")
 
     @property
     def shape(self) -> tuple:
@@ -107,34 +130,35 @@ class Tensor:
         return self.data.size
 
     def zero_grad(self) -> None:
-        self.grad = None
+        self._record.grad = None
 
     def backward(self) -> None:
         """Run reverse-mode accumulation from this scalar tensor (a loss), seeded with 1.
 
         The pass consumes the graph it walks. Once a node's backward has
-        run, the node drops its parents, its gradient and its backward, so
-        the arrays a step built are freed as the pass goes. Leaves
+        run, its record drops its parents, its gradient and its backward,
+        so the arrays a step built are freed as the pass goes. Leaves
         (parameters and inputs) keep their ``grad``. A later backward that
         reaches a consumed node raises ``ValueError``.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar output, got shape {self.shape}")
-        if not self.requires_grad:
+        root = self._record
+        if not root.requires_grad:
             return
-        order = _toposort(self)
-        accumulate_grad(self, np.ones_like(self.data))
+        order = _toposort(root)
+        accumulate_grad(root, np.ones_like(self.data))
         # reverse topological order: each node's consumers have all run, so
         # its gradient is complete when it is used and freed
         while order:
             node = order.pop()
-            if node._backward is None:
+            if node.backward is None:
                 continue
             if node.grad is not None:
-                node._backward(node.grad)
-            node._parents = ()
+                node.backward(node.grad)
+            node.parents = ()
             node.grad = None
-            node._backward = _consumed
+            node.backward = _consumed
 
     def __getitem__(self, idx):
         """Basic indexing only: ints, slices, ``None`` and ``Ellipsis``.
@@ -147,10 +171,12 @@ class Tensor:
                 raise ShapeError(f"Tensor index takes ints, slices, None and Ellipsis, "
                                  f"got {type(part).__name__}")
 
+        record, shape = self._record, self.shape
+
         def backward(g):
-            gx = np.zeros(self.shape, dtype=self.data.dtype)
+            gx = np.zeros(shape)
             gx[idx] += g
-            accumulate_grad(self, gx)
+            accumulate_grad(record, gx)
 
         return graph_op(self.data[idx], (self,), backward)
 
@@ -163,7 +189,7 @@ def _consumed(g) -> None:
     raise ValueError("graph already consumed by backward()")
 
 
-def _toposort(root: Tensor) -> list:
+def _toposort(root: _Record) -> list:
     order: list = []
     seen: set = set()
     stack = [(root, False)]
@@ -176,19 +202,20 @@ def _toposort(root: Tensor) -> list:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for parent in node._parents:
+        for parent in node.parents:
             if parent.requires_grad and id(parent) not in seen:
                 stack.append((parent, False))
     return order
 
 
-def accumulate_grad(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` into ``t.grad``, allocating the buffer on first touch."""
+def accumulate_grad(t, g: np.ndarray) -> None:
+    """Add ``g`` into the gradient of ``t`` (a tensor or its record),
+    allocating the buffer on first touch."""
     if not t.requires_grad:
         return
     if t.grad is None:
         # private copy: g may be shared with or viewed by other consumers
-        t.grad = np.array(g, dtype=t.data.dtype)
+        t.grad = np.array(g, dtype=np.float64)
     else:
         t.grad += g
 
@@ -224,16 +251,24 @@ def graph_op(data: np.ndarray, parents: Sequence[Tensor], backward: Callable) ->
     """Wrap an op result into the graph.
 
     ``backward`` receives the incoming gradient array and is responsible
-    for calling :func:`accumulate_grad` on each parent. Extension point
+    for calling :func:`accumulate_grad` on each parent's record. It should
+    hold the records and the arrays it reads, not the parent tensors, so
+    that their data is freed when the caller drops them. Extension point
     for ops defined outside this module. Under :func:`no_grad` the result
     has no parents and does not require grad.
     """
     out = Tensor(data)
-    if _grad_mode.enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward
+    if _grad_mode.enabled and any(p._record.requires_grad for p in parents):
+        record = out._record
+        record.requires_grad = True
+        record.parents = tuple(p._record for p in parents)
+        record.backward = backward
     return out
+
+
+def _builds_graph(t: Tensor) -> bool:
+    """Whether an op on ``t`` builds a node that passes ``t`` a gradient."""
+    return _grad_mode.enabled and t._record.requires_grad
 
 
 def _lift(x) -> Tensor:
@@ -268,22 +303,21 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
-def _accumulate_broadcast(t: Tensor, g: np.ndarray) -> None:
-    """Accumulate ``g`` into ``t``, summed over the axes ``t`` was broadcast along.
-
-    A frozen ``t`` gets no gradient, so no sum is built for it.
-    """
-    if t.requires_grad:
-        accumulate_grad(t, _unbroadcast(g, t.shape))
+def _accumulate_broadcast(record: _Record, g: np.ndarray, shape: tuple) -> None:
+    """Accumulate ``g`` into ``record``, summed over the axes its tensor, of
+    ``shape``, was broadcast along; a frozen tensor gets no sum built."""
+    if record.requires_grad:
+        accumulate_grad(record, _unbroadcast(g, shape))
 
 
 def add(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     _check_elementwise(a, b, "add")
+    ra, rb, shape_a, shape_b = a._record, b._record, a.shape, b.shape
 
     def backward(g):
-        _accumulate_broadcast(a, g)
-        _accumulate_broadcast(b, g)
+        _accumulate_broadcast(ra, g, shape_a)
+        _accumulate_broadcast(rb, g, shape_b)
 
     return graph_op(a.data + b.data, (a, b), backward)
 
@@ -292,10 +326,16 @@ def mul(a, b) -> Tensor:
     """Elementwise (Hadamard) product."""
     a, b = _lift(a), _lift(b)
     _check_elementwise(a, b, "mul")
+    ra, rb, shape_a, shape_b = a._record, b._record, a.shape, b.shape
+    # each operand's gradient reads the other one
+    data_a = a.data if _builds_graph(b) else None
+    data_b = b.data if _builds_graph(a) else None
 
     def backward(g):
-        _accumulate_broadcast(a, g * b.data)
-        _accumulate_broadcast(b, g * a.data)
+        if ra.requires_grad:
+            _accumulate_broadcast(ra, g * data_b, shape_a)
+        if rb.requires_grad:
+            _accumulate_broadcast(rb, g * data_a, shape_b)
 
     return graph_op(a.data * b.data, (a, b), backward)
 
@@ -304,9 +344,10 @@ def scale(a: Tensor, s: float) -> Tensor:
     """Multiply by a plain python scalar."""
     a = _lift(a)
     s = float(s)
+    record = a._record
 
     def backward(g):
-        accumulate_grad(a, g * s)
+        accumulate_grad(record, g * s)
 
     return graph_op(a.data * s, (a,), backward)
 
@@ -330,16 +371,20 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"linear layer expects width {in_dim}, got input shape {x.shape}")
     flat = x.data.reshape(-1, in_dim)
     out = flat @ weight.data + bias.data
+    rx, rw, rb, x_shape, rows = x._record, weight._record, bias._record, x.shape, flat.shape[0]
+    # the input's gradient reads the weight, the weight's reads the input
+    w = weight.data if _builds_graph(x) else None
+    saved_flat = flat if _builds_graph(weight) else None
 
     def backward(g):
-        g = g.reshape(flat.shape[0], out_dim)
-        _accumulate_broadcast(bias, g)
-        if x.requires_grad:
-            accumulate_grad(x, (g @ weight.data.T).reshape(x.shape))
-        if weight.requires_grad:
-            accumulate_grad(weight, flat.T @ g)
+        g = g.reshape(rows, out_dim)
+        _accumulate_broadcast(rb, g, (out_dim,))
+        if rx.requires_grad:
+            accumulate_grad(rx, (g @ w.T).reshape(x_shape))
+        if rw.requires_grad:
+            accumulate_grad(rw, saved_flat.T @ g)
 
-    return graph_op(out.reshape(x.shape[:-1] + (out_dim,)), (x, weight, bias), backward)
+    return graph_op(out.reshape(x_shape[:-1] + (out_dim,)), (x, weight, bias), backward)
 
 
 def _scatter_taps(taps: np.ndarray) -> np.ndarray:
@@ -430,6 +475,7 @@ def cdc_conv(x: Tensor, kernel: Tensor, bias: Tensor, theta: float) -> Tensor:
         diffs = cols - x.data.transpose(0, 2, 3, 1)[..., None, None]
         diffs *= mask
         out = out * (1.0 - theta) + contract(diffs) * theta
+    rx, rk, rb, k = x._record, kernel._record, bias._record, kernel.data
 
     def backward(g):
         # (term gradient, im2col rows the term read, mask of its taps), in the
@@ -437,21 +483,21 @@ def cdc_conv(x: Tensor, kernel: Tensor, bias: Tensor, theta: float) -> Tensor:
         terms = [(g, cols, None)] if theta == 0.0 else \
             [(g * (1.0 - theta), cols, None), (g * theta, diffs, mask)]
         for gt, rows, tap_mask in terms:
-            if kernel.requires_grad:
+            if rk.requires_grad:
                 gk = np.dot(gt.transpose(1, 0, 2, 3).reshape(cout, -1),
                             rows.reshape(b * h * w, -1))
-                accumulate_grad(kernel, gk.reshape(kernel.shape))
-            if tap_mask is None and bias.requires_grad:
-                accumulate_grad(bias, gt.sum(axis=(0, 2, 3)))
-            if x.requires_grad:
+                accumulate_grad(rk, gk.reshape(k.shape))
+            if tap_mask is None and rb.requires_grad:
+                accumulate_grad(rb, gt.sum(axis=(0, 2, 3)))
+            if rx.requires_grad:
                 taps = np.dot(gt.transpose(0, 2, 3, 1).reshape(b * h * w, cout),
-                              kernel.data.reshape(cout, -1)).reshape(b, h, w, cin, kh, kw)
+                              k.reshape(cout, -1)).reshape(b, h, w, cin, kh, kw)
                 if tap_mask is not None:
                     taps *= tap_mask
                 gx = _scatter_taps(taps)
                 if tap_mask is not None:
                     gx -= taps.sum(axis=(4, 5)).transpose(0, 3, 1, 2)
-                accumulate_grad(x, gx)
+                accumulate_grad(rx, gx)
 
     return graph_op(out, (x, kernel, bias), backward)
 
@@ -487,6 +533,7 @@ def soft_histogram(z: Tensor, mu: Tensor, gamma: Tensor) -> Tensor:
         for dw in range(3):
             pooled += e[..., dh:dh + h, dw:dw + w]
     inv_window = 1.0 / 9
+    rz, rmu, rgamma = z._record, mu._record, gamma._record
 
     def backward(g):
         g = g * inv_window
@@ -496,13 +543,13 @@ def soft_histogram(z: Tensor, mu: Tensor, gamma: Tensor) -> Tensor:
                 ge[..., dh:dh + h, dw:dw + w] += g
         gu = -(ge * e) * u
         gu = gu + gu  # u * u reads u twice
-        if gamma.requires_grad:
-            accumulate_grad(gamma, _unbroadcast(gu * centered, per_channel).reshape(c))
+        if rgamma.requires_grad:
+            accumulate_grad(rgamma, _unbroadcast(gu * centered, per_channel).reshape(c))
         gc = gu * gamma_c
-        if mu.requires_grad:
-            accumulate_grad(mu, _unbroadcast(-gc, per_channel).reshape(c))
-        if z.requires_grad:
-            accumulate_grad(z, gc[..., 1:1 + h, 1:1 + w])
+        if rmu.requires_grad:
+            accumulate_grad(rmu, _unbroadcast(-gc, per_channel).reshape(c))
+        if rz.requires_grad:
+            accumulate_grad(rz, gc[..., 1:1 + h, 1:1 + w])
 
     return graph_op(pooled * inv_window, (z, mu, gamma), backward)
 
@@ -515,10 +562,12 @@ def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit, exact erf form."""
     x = _lift(x)
     cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
+    record, slope = x._record, None
+    if _builds_graph(x):  # the derivative, the one array the backward reads
+        slope = cdf + x.data * (np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI)
 
     def backward(g):
-        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
-        accumulate_grad(x, g * (cdf + x.data * pdf))
+        accumulate_grad(record, g * slope)
 
     return graph_op(x.data * cdf, (x,), backward)
 
@@ -554,20 +603,21 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     y -= y.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
+    rq, rk, rv = q._record, k._record, v._record
 
     def backward(g):
         gc = np.transpose(g.reshape(b, n, heads, dh), (0, 2, 1, 3))
-        if q.requires_grad or k.requires_grad:
+        if rq.requires_grad or rk.requires_grad:
             ga = gc @ np.swapaxes(vh, -1, -2)
             gs = y * (ga - (ga * y).sum(axis=-1, keepdims=True)) * s
-            if q.requires_grad:
-                accumulate_grad(q, np.transpose(gs @ kh, (0, 2, 1, 3)).reshape(b, n, d))
-            if k.requires_grad:
+            if rq.requires_grad:
+                accumulate_grad(rq, np.transpose(gs @ kh, (0, 2, 1, 3)).reshape(b, n, d))
+            if rk.requires_grad:
                 gkt = np.swapaxes(qh, -1, -2) @ gs
-                accumulate_grad(k, np.transpose(gkt, (0, 3, 1, 2)).reshape(b, n, d))
-        if v.requires_grad:
+                accumulate_grad(rk, np.transpose(gkt, (0, 3, 1, 2)).reshape(b, n, d))
+        if rv.requires_grad:
             gv = np.swapaxes(y, -1, -2) @ gc
-            accumulate_grad(v, np.transpose(gv, (0, 2, 1, 3)).reshape(b, n, d))
+            accumulate_grad(rv, np.transpose(gv, (0, 2, 1, 3)).reshape(b, n, d))
 
     out = np.transpose(y @ vh, (0, 2, 1, 3)).reshape(b, n, d)
     return graph_op(out, (q, k, v), backward)
@@ -586,28 +636,30 @@ def layernorm(x: Tensor, gain: Tensor, shift: Tensor) -> Tensor:
     var = (c * c).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
     xhat = c * inv
+    rx, rgain, rshift, gain_data = x._record, gain._record, shift._record, gain.data
 
     def backward(g):
-        if gain.requires_grad:
-            accumulate_grad(gain, (g * xhat).reshape(-1, d).sum(axis=0))
-        if shift.requires_grad:
-            accumulate_grad(shift, g.reshape(-1, d).sum(axis=0))
-        if x.requires_grad:
-            gh = g * gain.data
+        if rgain.requires_grad:
+            accumulate_grad(rgain, (g * xhat).reshape(-1, d).sum(axis=0))
+        if rshift.requires_grad:
+            accumulate_grad(rshift, g.reshape(-1, d).sum(axis=0))
+        if rx.requires_grad:
+            gh = g * gain_data
             accumulate_grad(
-                x,
+                rx,
                 inv * (gh - gh.mean(axis=-1, keepdims=True)
                        - xhat * (gh * xhat).mean(axis=-1, keepdims=True)),
             )
 
-    return graph_op(xhat * gain.data + shift.data, (x, gain, shift), backward)
+    return graph_op(xhat * gain_data + shift.data, (x, gain, shift), backward)
 
 
 def sum_all(x: Tensor) -> Tensor:
     x = _lift(x)
+    record, shape = x._record, x.shape
 
     def backward(g):
-        accumulate_grad(x, np.full(x.shape, float(g), dtype=x.data.dtype))
+        accumulate_grad(record, np.full(shape, float(g)))
 
     return graph_op(np.asarray(x.data.sum()), (x,), backward)
 
@@ -615,9 +667,10 @@ def sum_all(x: Tensor) -> Tensor:
 def reshape(x: Tensor, shape) -> Tensor:
     x = _lift(x)
     shape = tuple(shape)
+    record, x_shape = x._record, x.shape
 
     def backward(g):
-        accumulate_grad(x, g.reshape(x.shape))
+        accumulate_grad(record, g.reshape(x_shape))
 
     return graph_op(x.data.reshape(shape), (x,), backward)
 
@@ -626,9 +679,10 @@ def transpose(x: Tensor, axes) -> Tensor:
     x = _lift(x)
     axes = tuple(axes)
     inverse = tuple(np.argsort(axes))
+    record = x._record
 
     def backward(g):
-        accumulate_grad(x, np.transpose(g, inverse))
+        accumulate_grad(record, np.transpose(g, inverse))
 
     return graph_op(np.transpose(x.data, axes), (x,), backward)
 
@@ -637,12 +691,13 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [_lift(t) for t in tensors]
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
+    records = [t._record for t in tensors]
 
     def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+        for record, lo, hi in zip(records, offsets[:-1], offsets[1:]):
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(lo, hi)
-            accumulate_grad(t, g[tuple(idx)])
+            accumulate_grad(record, g[tuple(idx)])
 
     return graph_op(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), backward)
 

@@ -91,6 +91,7 @@ def batch_tsr(style_maps: Tensor, labels, domain_ids) -> Tensor:
     grams = [_gram(f) for f in flats]
     diffs = [grams[i] - grams[j] for i, j in pairs]
     inv_pairs = float(1.0 / len(pairs))
+    record, shape = style_maps._record, style_maps.shape
 
     def backward(g):
         k = 2.0 * float(g * inv_pairs)
@@ -101,10 +102,10 @@ def batch_tsr(style_maps: Tensor, labels, domain_ids) -> Tensor:
                 gs = gd * float(1.0 / f.size)
                 term = gs @ f + (f.T @ gs).T
                 pooled[pool] = term if pooled[pool] is None else pooled[pool] + term
-        gx = np.zeros(style_maps.shape)
+        gx = np.zeros(shape)
         for rows, gf in zip(pools, pooled):
             np.add.at(gx, rows, gf.reshape(c, len(rows), h, w).transpose(1, 0, 2, 3))
-        accumulate_grad(style_maps, gx)
+        accumulate_grad(record, gx)
 
     total = sum(float((d * d).sum()) for d in diffs)
     return graph_op(np.asarray(total * inv_pairs), (style_maps,), backward)
@@ -127,11 +128,12 @@ def binary_cross_entropy_with_logits(logits: Tensor, labels) -> Tensor:
     e = np.exp(z - m)
     lse = m[:, 0] + np.log(e.sum(axis=1))
     loss = np.asarray((lse - z[np.arange(b), labels]).mean())
+    record = logits._record
 
     def backward(g):
         p = e / e.sum(axis=1, keepdims=True)
         p[np.arange(b), labels] -= 1.0
-        accumulate_grad(logits, float(g) * p / b)
+        accumulate_grad(record, float(g) * p / b)
 
     return graph_op(loss, (logits,), backward)
 

@@ -123,21 +123,6 @@ def auc(curve: RocCurve) -> float:
     return twice_area / (2 * curve.n_attack * curve.n_bona)
 
 
-def _rate_sweep(s: ScoreSet):
-    """FAR / FRR at every candidate threshold, descending.
-
-    Candidates are a virtual point above every score followed by the
-    distinct scores themselves; rates are step functions of the threshold
-    and these are exactly their breakpoints.
-    """
-    curve = roc(s)
-    far = np.concatenate(([1.0], (curve.n_attack - curve.tp) / curve.n_attack))
-    frr = np.concatenate(([0.0], curve.fp / curve.n_bona))
-    top = curve.thresholds[0] + 1.0
-    thresholds = np.concatenate(([top], curve.thresholds))
-    return thresholds, far, frr
-
-
 def eer(s: ScoreSet) -> tuple:
     """Equal error rate and its threshold.
 
@@ -145,7 +130,15 @@ def eer(s: ScoreSet) -> tuple:
     is located between the bracketing candidate thresholds by linear
     interpolation (an exact hit at a candidate is returned as is).
     """
-    thresholds, far, frr = _rate_sweep(s)
+    return _curve_eer(roc(s))
+
+
+def _curve_eer(curve: RocCurve) -> tuple:
+    # FAR / FRR at every candidate threshold, descending: a virtual point above
+    # every score, then the distinct scores, the breakpoints of both step functions
+    far = np.concatenate(([1.0], (curve.n_attack - curve.tp) / curve.n_attack))
+    frr = np.concatenate(([0.0], curve.fp / curve.n_bona))
+    thresholds = np.concatenate(([curve.thresholds[0] + 1.0], curve.thresholds))
     diff = far - frr
     exact = np.flatnonzero(diff == 0.0)
     if exact.size:
@@ -175,7 +168,10 @@ def hter(s: ScoreSet, threshold: float) -> float:
 
 def tpr_at_fpr(s: ScoreSet, target_fpr: float = 0.01) -> float:
     """Interpolated TPR where the ROC reaches the target FPR."""
-    curve = roc(s)
+    return _curve_tpr_at_fpr(roc(s), target_fpr)
+
+
+def _curve_tpr_at_fpr(curve: RocCurve, target_fpr: float) -> float:
     fpr, tpr = curve.fpr, curve.tpr
     # collapse vertical segments: the sweep is monotone, so the last point of
     # each run of equal fpr holds the best tpr attainable at that fpr
@@ -225,14 +221,15 @@ class MetricReport:
 def evaluate_scores(target: ScoreSet, threshold: float) -> MetricReport:
     """All metrics on a target set; HTER uses the caller-chosen threshold
     (fixed on source-domain validation in cross-domain runs), ACER the
-    conventional 0.5 on probabilities."""
-    eer_value, _ = eer(target)
+    conventional 0.5 on probabilities. The scores are sorted once, into one ROC."""
+    curve = roc(target)
+    eer_value, _ = _curve_eer(curve)
     apcer, bpcer, acer = acer_suite(target)
     return MetricReport(
-        auc=auc(roc(target)),
+        auc=auc(curve),
         eer=eer_value,
         hter=hter(target, threshold),
-        tpr_at_fpr1=tpr_at_fpr(target, 0.01),
+        tpr_at_fpr1=_curve_tpr_at_fpr(curve, 0.01),
         apcer=apcer,
         bpcer=bpcer,
         acer=acer,

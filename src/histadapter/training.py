@@ -23,7 +23,7 @@ from histadapter.losses import (
     binary_cross_entropy_with_logits,
     total_loss,
 )
-from histadapter.metrics import MetricReport, ScoreSet,eer, evaluate_scores
+from histadapter.metrics import MetricReport, ScoreSet, eer, evaluate_scores
 from histadapter.optim import Adam
 from histadapter.synth import (
     SynthProtocol,

@@ -40,8 +40,8 @@ def sub(a, b) -> Tensor:
     _check_elementwise(a, b, "sub")
 
     def backward(g):
-        _accumulate_broadcast(a, g)
-        _accumulate_broadcast(b, -g)
+        _accumulate_broadcast(a, g, a.shape)
+        _accumulate_broadcast(b, -g, b.shape)
 
     return graph_op(a.data - b.data, (a, b), backward)
 

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -307,7 +309,7 @@ class TestBackwardConsumesGraph:
         loss.backward()
         assert np.array_equal(x.grad, [2.0, 4.0])  # leaves keep their gradient
         for node in (y, loss):
-            assert node._parents == () and node.grad is None
+            assert node._record.parents == () and node.grad is None
         assert np.array_equal(y.data, [1.0, 4.0])  # values stay readable
 
     def test_second_backward_from_the_same_root_raises(self):
@@ -326,6 +328,48 @@ class TestBackwardConsumesGraph:
             second.backward()
 
 
+class TestSavedTensors:
+    """A backward keeps only the arrays it reads; the graph links records, not data."""
+
+    @staticmethod
+    def scaled_into_linear(weight_trains: bool):
+        rng = np.random.default_rng(21)
+        x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 2)), requires_grad=weight_trains)
+        h = ad.scale(x, 2.0)
+        loss = ad.sum_all(ad.linear(h, w, Tensor(np.zeros(2))))
+        return x, w, loss, weakref.ref(h), weakref.ref(h.data)
+
+    def test_interior_tensor_no_backward_reads_dies_with_its_caller(self):
+        # a frozen weight's linear reads only the weight: the scaled input is not kept
+        x, w, loss, tensor_ref, data_ref = self.scaled_into_linear(weight_trains=False)
+        assert tensor_ref() is None and data_ref() is None
+        loss.backward()
+        assert np.array_equal(x.grad, np.broadcast_to(2.0 * w.data.sum(axis=1), (4, 3)))
+        with pytest.raises(ValueError, match="graph already consumed"):
+            loss.backward()
+
+    def test_array_a_backward_reads_outlives_its_tensor(self):
+        x, w, loss, tensor_ref, data_ref = self.scaled_into_linear(weight_trains=True)
+        assert tensor_ref() is None and data_ref() is not None
+        loss.backward()
+        assert data_ref() is None  # the pass frees what it read
+        assert np.array_equal(w.grad, np.broadcast_to((2.0 * x.data).sum(axis=0)[:, None],
+                                                      (3, 2)))
+
+    def test_tensor_used_twice_gets_the_summed_gradient(self):
+        x = Tensor(np.array([1.0, -2.0, 0.5]), requires_grad=True)
+        y = ad.scale(x, 1.5)
+        ad.sum_all(ad.add(y, y)).backward()
+        assert np.array_equal(x.grad, [3.0, 3.0, 3.0])
+
+    def test_diamond_through_mul_sums_both_paths(self):
+        x = Tensor(np.array([1.0, -2.0, 0.5]), requires_grad=True)
+        ad.sum_all(ad.mul(ad.scale(x, 2.0), ad.scale(x, 3.0))).backward()
+        # d(2x * 3x)/dx: 6x through each factor
+        assert np.array_equal(x.grad, 12.0 * x.data)
+
+
 class TestNoGrad:
     def test_grad_enabled_reports_the_mode(self):
         assert ad.grad_enabled()
@@ -341,7 +385,7 @@ class TestNoGrad:
             outs = [ref.matmul(x, w), ad.gelu(w), ad.sum_all(ad.add(w, w)), w[:1]]
         for out in outs:
             assert not out.requires_grad
-            assert out._parents == () and out._backward is None
+            assert out._record.parents == () and out._record.backward is None
         assert np.array_equal(outs[0].data, ref.matmul(x, w).data)
 
     def test_mode_restored_after_nesting_and_exception(self):
@@ -355,7 +399,7 @@ class TestNoGrad:
             with ad.no_grad():
                 raise RuntimeError("inside")
         out = ad.scale(w, 2.0)
-        assert out.requires_grad and out._parents == (w,)
+        assert out.requires_grad and out._record.parents == (w._record,)
 
 
 OPS_FOR_SWEEP = [

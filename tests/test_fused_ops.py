@@ -155,7 +155,7 @@ class TestAttention:
         with ad.no_grad():
             fused = ad.attention(*operands, heads)
             chain = attention_chain(*operands, heads)
-        assert not fused.requires_grad and fused._parents == ()
+        assert not fused.requires_grad and fused._record.parents == ()
         assert np.array_equal(fused.data, chain.data)
 
     @pytest.mark.parametrize("shapes, heads", [
@@ -209,8 +209,8 @@ class TestBatchTsr:
         maps, labels, domains = tsr_batch(np.random.default_rng(3), (2, 2, 1))
         x = Tensor(maps, requires_grad=True)
         out = batch_tsr(x, labels, domains)
-        assert out._parents == (x,)
-        assert grad_ops(out) == [out]
+        assert out._record.parents == (x._record,)
+        assert grad_ops(out) == [out._record]
 
     def test_accumulates_into_an_existing_gradient(self):
         maps, labels, domains = tsr_batch(np.random.default_rng(4), (2, 3, 1))
@@ -225,7 +225,7 @@ class TestBatchTsr:
         maps, labels, domains = tsr_batch(np.random.default_rng(5), (2, 1, 3))
         frozen = Tensor(maps)
         fused = batch_tsr(frozen, labels, domains)
-        assert not fused.requires_grad and fused._parents == ()
+        assert not fused.requires_grad and fused._record.parents == ()
         assert np.array_equal(bits(fused.data), bits(tsr_chain(frozen, labels, domains).data))
         assert frozen.grad is None
 
@@ -235,7 +235,7 @@ class TestBatchTsr:
         with ad.no_grad():
             fused = batch_tsr(x, labels, domains)
             chain = tsr_chain(x, labels, domains)
-        assert not fused.requires_grad and fused._parents == ()
+        assert not fused.requires_grad and fused._record.parents == ()
         assert np.array_equal(bits(fused.data), bits(chain.data))
 
     @pytest.mark.parametrize("labels, domains", [([0, 0, 1, 1], [0, 0, 0, 0]),
@@ -261,16 +261,17 @@ class TestBatchTsr:
 
 
 def grad_ops(root: Tensor) -> list:
-    """Ops with a backward that are reachable from ``root`` through grad-carrying tensors."""
-    seen, stack, ops = set(), [root], []
+    """Records of the ops with a backward that are reachable from ``root``
+    through grad-carrying records."""
+    seen, stack, ops = set(), [root._record], []
     while stack:
         node = stack.pop()
         if id(node) in seen:
             continue
         seen.add(id(node))
-        if node._backward is not None:
+        if node.backward is not None:
             ops.append(node)
-        stack.extend(p for p in node._parents if p.requires_grad)
+        stack.extend(p for p in node.parents if p.requires_grad)
     return ops
 
 
@@ -302,8 +303,8 @@ def test_backward_of_a_toy_training_step_frees_its_graph():
     interior = [weakref.ref(node) for node in grad_ops(loss)]
     assert len(interior) > 100
     loss.backward()
-    # only the loss and the style map the model holds outlive the pass
+    # only the records of the loss and of the style map the model holds outlive the pass
     alive = {id(ref()) for ref in interior if ref() is not None}
-    assert alive == {id(loss), id(model.style_map)}
+    assert alive == {id(loss._record), id(model.style_map._record)}
     with pytest.raises(ValueError, match="consumed"):
         loss.backward()

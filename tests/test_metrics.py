@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from histadapter import metrics
 from histadapter.metrics import (
     METRIC_CSV_HEADER,
     ScoreSet,
@@ -226,6 +227,22 @@ class TestValidationAndReport:
         row = report.csv_row("loo3", 0, "full", "concat", 0.1, 0.7)
         assert row.startswith("loo3,0,full,concat,0.1,0.7,")
         assert len(row.split(",")) == len(METRIC_CSV_HEADER.split(",")) == 14
+
+    @pytest.mark.parametrize("tie_prob", [0.0, 0.5])
+    def test_report_builds_one_roc_and_equals_the_single_metrics(self, monkeypatch, tie_prob):
+        s = random_scoreset(np.random.default_rng(9), n=120, tie_prob=tie_prob)
+        calls = []
+
+        def counting_roc(score_set):
+            calls.append(score_set)
+            return roc(score_set)
+
+        monkeypatch.setattr(metrics, "roc", counting_roc)
+        report = evaluate_scores(s, threshold=0.4)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert (report.auc, report.eer, report.tpr_at_fpr1) == \
+            (auc(roc(s)), eer(s)[0], tpr_at_fpr(s, 0.01))
 
 
 class TestOraclesOnTiedGrids:

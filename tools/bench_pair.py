@@ -6,9 +6,10 @@ Exports REV with ``git archive`` into ``runs/bench_pair/<rev>``. For each
 workload of ``BENCHMARK.json`` and each of 10 seeds from 901 it runs
 ``perfbench/run.py`` for the benchmark's ``run_seconds`` once in the parent
 tree and once in this checkout, and switches which tree goes first from
-one seed to the next. It adds one traced run (seed 0) and one
-``tools/fingerprints.py`` run per tree, then writes ``BENCH_<TAG>.json`` at
-the repository root.
+one seed to the next. It adds one traced run (seed 0), one
+``tools/fingerprints.py`` run and one ``tools/step_peak.py`` measurement (this
+checkout's helper against the tree's ``src/``) per tree, then writes
+``BENCH_<TAG>.json`` at the repository root.
 
 The file keeps the schema of the earlier ``BENCH_*.json`` files for the
 change (``untraced``, ``traced``, ``fingerprints``, ...), adds the same
@@ -34,6 +35,8 @@ import tarfile
 from pathlib import Path
 
 import numpy as np
+
+from step_peak import step_peaks
 
 ROOT = Path(__file__).resolve().parents[1]
 PAIRS = 10
@@ -175,6 +178,7 @@ def main(argv=None) -> int:
                                                record["model_ckpt_sha256"])
     for name, tree in trees.items():
         records[name]["fingerprints"] = fingerprints(tree)
+        records[name]["step_peak_mib"] = step_peaks(tree / "src")
 
     report = {
         "tag": args.tag,
@@ -189,6 +193,8 @@ def main(argv=None) -> int:
                       "--trace 1",
             "src_lines": "lines of src/histadapter/*.py",
             "fingerprints": "PYTHONPATH=src python3 tools/fingerprints.py",
+            "step_peak_mib": "step_peaks(TREE/src) of this checkout's tools/step_peak.py: "
+                             "tracemalloc peak (MiB) of one TSR-on training step per recipe",
             "summary": "per end-to-end metric: quartiles of each tree's runs, pairs the change "
                        "won, and the claim rule (at least 9 of 10 pairs won, at least 10 pairs, "
                        "median shift larger than the parent's IQR)",

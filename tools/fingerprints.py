@@ -11,8 +11,12 @@ gradient sums three pair terms, where the order of the sum shows), and
 prints the sha256 of each run's ``model.ckpt`` and ``train_log.csv``. Next
 comes the sha256 of the CSV that ``histadapter gradcheck --out`` writes. A
 change that alters no float operation prints the same rows as its parent.
-The last row, ``src lines <N>``, is the line count over
-``src/histadapter/*.py``. Run from the repository root (about 40 s on one
+
+The last three rows are counters, not identity rows: a refactor may move
+them. ``step peak toy <MiB>`` and ``step peak tiny <MiB>`` are the
+``tracemalloc`` peaks of one TSR-on training step of each recipe, from
+``tools/step_peak.py``; ``src lines <N>`` is the line count over
+``src/histadapter/*.py``. Run from the repository root (about 45 s on one
 core):
 
     PYTHONPATH=src python3 tools/fingerprints.py
@@ -30,6 +34,8 @@ from histadapter.adapter import FUSIONS, VARIANTS
 from histadapter.cli import main as cli_main
 from histadapter.config import load_config
 from histadapter.training import train_run
+
+from step_peak import step_peaks
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG = ROOT / "configs" / "ablation.cfg"
@@ -59,6 +65,8 @@ def main() -> None:
         with contextlib.redirect_stdout(io.StringIO()):
             cli_main(["gradcheck", "--out", str(root / "gradcheck")])
         print(f"gradcheck.csv {sha256(root / 'gradcheck' / 'gradcheck.csv')}")
+    for recipe, mib in step_peaks().items():
+        print(f"step peak {recipe} {mib:.1f}")
     lines = sum(p.read_bytes().count(b"\n") for p in (ROOT / "src" / "histadapter").glob("*.py"))
     print(f"src lines {lines}")
 
