@@ -31,6 +31,8 @@ __all__ = [
     "style_bank",
     "generate",
     "merge_batches",
+    "training_set",
+    "held_out_set",
     "split_protocol",
     "source_validation",
     "dump_dataset",
@@ -125,69 +127,87 @@ def style_bank(num_domains: int, base_seed: int = 7) -> list:
     return styles
 
 
-def _smooth_field(rng: np.random.Generator, side: int) -> np.ndarray:
-    coarse = rng.normal(0.0, 0.08, (3, 4, 4))
-    rep = side // 4
-    field_ = np.repeat(np.repeat(coarse, rep, axis=1), rep, axis=2)
-    for _ in range(2):
-        field_ = _binomial_blur(field_)
-    return field_
+# one chunk of images is batched at a time: 16 at 32 px, 1 at 224 px
+_CHUNK_PIXELS = 16 * 32 * 32
 
 
-def _bona_fide_texture(rng: np.random.Generator, side: int) -> np.ndarray:
-    yy, xx = np.mgrid[0:side, 0:side] / side
-    base = np.array([0.55, 0.45, 0.40]) + rng.uniform(-0.05, 0.05, 3)
-    cx, cy = 0.5 + rng.uniform(-0.08, 0.08, 2)
-    ax = 0.30 + rng.uniform(0.0, 0.10)
-    ay = 0.36 + rng.uniform(0.0, 0.10)
-    blob = np.exp(-(((xx - cx) / ax) ** 2 + ((yy - cy) / ay) ** 2))
-    img = base[:, None, None] * blob[None] + 0.12
-    for _ in range(3):
-        fx = cx + rng.uniform(-0.15, 0.15)
-        fy = cy + rng.uniform(-0.18, 0.18)
-        fr = rng.uniform(0.04, 0.09)
-        spot = np.exp(-(((xx - fx) ** 2 + (yy - fy) ** 2) / fr ** 2))
-        img -= rng.uniform(0.10, 0.25) * spot[None]
-    return img + _smooth_field(rng, side)
-
-
-def _moire_pattern(rng: np.random.Generator, side: int) -> np.ndarray:
-    px, py = rng.integers(3, 5, size=2)
-    phx, phy = rng.uniform(0.0, 2.0 * np.pi, 2)
-    yy, xx = np.mgrid[0:side, 0:side]
-    pattern = np.sin(2 * np.pi * xx / px + phx) * np.sin(2 * np.pi * yy / py + phy)
-    amp = rng.uniform(0.18, 0.26)
-    weights = 1.0 + rng.uniform(-0.15, 0.15, 3)
-    return amp * weights[:, None, None] * pattern[None]
-
-
-def _halftone_pattern(rng: np.random.Generator, side: int) -> np.ndarray:
-    p = int(rng.integers(3, 5))
-    phx, phy = rng.uniform(0.0, 2.0 * np.pi, 2)
-    yy, xx = np.mgrid[0:side, 0:side]
-    carrier = np.cos(2 * np.pi * xx / p + phx) * np.cos(2 * np.pi * yy / p + phy)
-    dots = (carrier > 0.2).astype(np.float64)
-    dots -= dots.mean()
-    amp = rng.uniform(0.20, 0.28)
-    weights = 1.0 + rng.uniform(-0.15, 0.15, 3)
-    return amp * weights[:, None, None] * dots[None]
+def _uniform(r, lo: float, hi: float):
+    """``rng.uniform(lo, hi)``, bit for bit, from the ``rng.random()`` draws ``r``."""
+    return lo + (hi - lo) * r
 
 
 def _binomial_blur(img: np.ndarray) -> np.ndarray:
     """One [1, 2, 1]/4 pass along each spatial axis with edge replication."""
-    padded = np.pad(img, ((0, 0), (1, 1), (0, 0)), mode="edge")
-    img = 0.25 * padded[:, :-2] + 0.5 * padded[:, 1:-1] + 0.25 * padded[:, 2:]
-    padded = np.pad(img, ((0, 0), (0, 0), (1, 1)), mode="edge")
-    return 0.25 * padded[:, :, :-2] + 0.5 * padded[:, :, 1:-1] + 0.25 * padded[:, :, 2:]
+    for axis in (-2, -1):
+        quarter = np.moveaxis(0.25 * img, axis, 0)
+        img = 0.5 * img
+        rows = np.moveaxis(img, axis, 0)
+        rows[1:] += quarter[:-1]
+        rows[0] += quarter[0]
+        rows[:-1] += quarter[1:]
+        rows[-1] += quarter[-1]
+    return img
 
 
-def _apply_style(img: np.ndarray, style: DomainStyle, rng: np.random.Generator) -> np.ndarray:
+def _chunk(rng: np.random.Generator, style: DomainStyle, out: np.ndarray, first_attack) -> None:
+    """Fills ``out`` (n, 3, S, S) with bona fide images, or with attacks from index
+    ``first_attack`` on. All of the chunk's draws come first, one image after
+    another; the pixel math then runs on the whole chunk.
+    """
+    n, side = out.shape[0], out.shape[-1]
+    u, coarse = np.empty((n, 19)), np.empty((n, 3, 4, 4))
+    periods, art = np.empty((n, 2)), np.empty((n, 6))
+    noise = np.empty((n, 3, side, side)) if style.noise_sigma > 0 else None
+    for k in range(n):
+        u[k] = rng.random(19)
+        coarse[k] = rng.normal(0.0, 0.08, (3, 4, 4))
+        if first_attack is not None:
+            moire = (first_attack + k) % 2 == 0  # else halftone, with one period
+            periods[k] = rng.integers(3, 5, size=2) if moire else int(rng.integers(3, 5))
+            art[k] = rng.random(6)
+        if noise is not None:
+            noise[k] = rng.normal(0.0, style.noise_sigma, (3, side, side))
+
+    grid = np.arange(side) / side
+    base = np.array([0.55, 0.45, 0.40]) + _uniform(u[:, 0:3], -0.05, 0.05)
+    cx, cy = (0.5 + _uniform(u[:, 3:5], -0.08, 0.08)).T
+    ax = 0.30 + _uniform(u[:, 5:6], 0.0, 0.10)
+    ay = 0.36 + _uniform(u[:, 6:7], 0.0, 0.10)
+    # each image term is a sum of an x term and a y term, computed once per row or column
+    blob = np.exp(-((((grid - cx[:, None]) / ax) ** 2)[:, None, :]
+                    + (((grid - cy[:, None]) / ay) ** 2)[:, :, None]))
+    img = base[:, :, None, None] * blob[:, None] + 0.12
+    for s in range(7, 19, 4):
+        fx = cx + _uniform(u[:, s], -0.15, 0.15)
+        fy = cy + _uniform(u[:, s + 1], -0.18, 0.18)
+        # a Python float's ** 2 is libm pow, which is not always x * x
+        fr2 = np.array([fr ** 2 for fr in _uniform(u[:, s + 2], 0.04, 0.09).tolist()])
+        spot = np.exp(-((((grid - fx[:, None]) ** 2)[:, None, :]
+                         + ((grid - fy[:, None]) ** 2)[:, :, None]) / fr2[:, None, None]))
+        img -= (_uniform(u[:, s + 3], 0.10, 0.25)[:, None, None] * spot)[:, None]
+    rep = side // 4
+    field_ = np.repeat(np.repeat(coarse, rep, axis=2), rep, axis=3)
+    img += _binomial_blur(_binomial_blur(field_))
+
+    if first_attack is not None:
+        moire = (first_attack + np.arange(n)) % 2 == 0
+        phase = _uniform(art[:, 0:2], 0.0, 2.0 * np.pi)
+        arg = 2 * np.pi * np.arange(side) / periods[:, :, None] + phase[:, :, None]
+        wave = np.where(moire[:, None, None], np.sin(arg), np.cos(arg))
+        pattern = wave[:, 0, None, :] * wave[:, 1, :, None]
+        dots = (pattern > 0.2).astype(np.float64)
+        dots -= dots.mean(axis=(1, 2), keepdims=True)
+        pattern = np.where(moire[:, None, None], pattern, dots)
+        amp = np.where(moire, _uniform(art[:, 2], 0.18, 0.26), _uniform(art[:, 2], 0.20, 0.28))
+        weights = 1.0 + _uniform(art[:, 3:6], -0.15, 0.15)
+        img += (amp[:, None] * weights)[:, :, None, None] * pattern[:, None]
+
     img = img * np.asarray(style.color_gain)[:, None, None] + style.brightness_offset
-    if style.noise_sigma > 0:
-        img = img + rng.normal(0.0, style.noise_sigma, img.shape)
+    if noise is not None:
+        img += noise
     for _ in range(style.blur_radius):
         img = _binomial_blur(img)
-    return np.clip(img, 0.0, 1.0)
+    np.clip(img, 0.0, 1.0, out=out)
 
 
 def generate(style: DomainStyle, n_per_class: int, side: int = 32,
@@ -196,23 +216,26 @@ def generate(style: DomainStyle, n_per_class: int, side: int = 32,
 
     ``stream`` selects an independent substream of the style's generator,
     which keeps train / test / few-shot material disjoint by construction.
+    The stream is read one image at a time, bona fide images first: a
+    texture's 19 uniforms, its coarse field's 48 normals, an attack's
+    artifact draws, then the style's noise. The pixel math runs batched over
+    chunks of images, so an image does not depend on the chunking.
     """
     if n_per_class < 1:
         raise ValueError(f"n_per_class must be >= 1, got {n_per_class}")
+    if side < 4 or side % 4:
+        raise ValueError(f"side must be a positive multiple of 4, got {side}")
     rng = np.random.default_rng(np.random.SeedSequence([style.seed, stream]))
     images = np.empty((2 * n_per_class, 3, side, side))
-    labels = np.empty(2 * n_per_class, dtype=np.intp)
-    ids = []
-    for i in range(n_per_class):
-        images[i] = _apply_style(_bona_fide_texture(rng, side), style, rng)
-        labels[i] = 0
-        ids.append(f"d{domain_id}-s{stream}-bona-{i}")
-    for i in range(n_per_class):
-        base = _bona_fide_texture(rng, side)
-        artifact = _moire_pattern(rng, side) if i % 2 == 0 else _halftone_pattern(rng, side)
-        images[n_per_class + i] = _apply_style(base + artifact, style, rng)
-        labels[n_per_class + i] = 1
-        ids.append(f"d{domain_id}-s{stream}-attack-{i}")
+    chunk = max(1, _CHUNK_PIXELS // side ** 2)
+    bona_fide, attacks = images[:n_per_class], images[n_per_class:]
+    for start in range(0, n_per_class, chunk):
+        _chunk(rng, style, bona_fide[start:start + chunk], None)
+    for start in range(0, n_per_class, chunk):
+        _chunk(rng, style, attacks[start:start + chunk], start)
+    labels = np.repeat(np.array([0, 1], dtype=np.intp), n_per_class)
+    ids = [f"d{domain_id}-s{stream}-{kind}-{i}"
+           for kind in ("bona", "attack") for i in range(n_per_class)]
     domain_ids = np.full(2 * n_per_class, domain_id, dtype=np.intp)
     return DomainBatch(Tensor(images), labels, domain_ids, ids)
 
@@ -226,34 +249,35 @@ def merge_batches(batches) -> DomainBatch:
     )
 
 
-def split_protocol(protocol: SynthProtocol, train_per_class: int,
-                   test_per_class: int, side: int = 32,
-                   min_source_domains: int = 1) -> ProtocolSplit:
-    """Training material over source domains, test material over the held-out one.
-
-    With ``few_shot_k > 0``, k bona fide and k attack examples from the
-    held-out domain join the training set, drawn from a stream disjoint
-    from the test stream.
-    """
+def training_set(protocol: SynthProtocol, train_per_class: int, side: int = 32,
+                 min_source_domains: int = 1) -> DomainBatch:
+    """Training material over the source domains. With ``few_shot_k > 0``, k bona fide and
+    k attack examples of the held-out domain join it, from a stream disjoint from the test's."""
     sources = protocol.source_indices
     if len(sources) < min_source_domains:
         raise ValueError(
             f"protocol has {len(sources)} source domains, need >= {min_source_domains} "
             "(style regularization needs at least two)"
         )
-    train_parts = [
-        generate(protocol.domains[i], train_per_class, side, domain_id=i,
-                 stream=TRAIN_STREAM)
-        for i in sources
-    ]
+    parts = [generate(protocol.domains[i], train_per_class, side, domain_id=i,
+                      stream=TRAIN_STREAM) for i in sources]
     if protocol.few_shot_k > 0:
-        train_parts.append(
-            generate(protocol.domains[protocol.held_out], protocol.few_shot_k, side,
-                     domain_id=protocol.held_out, stream=FEWSHOT_STREAM)
-        )
-    test = generate(protocol.domains[protocol.held_out], test_per_class, side,
+        parts.append(generate(protocol.domains[protocol.held_out], protocol.few_shot_k, side,
+                              domain_id=protocol.held_out, stream=FEWSHOT_STREAM))
+    return merge_batches(parts)
+
+
+def held_out_set(protocol: SynthProtocol, test_per_class: int, side: int = 32) -> DomainBatch:
+    """Test material from the held-out domain."""
+    return generate(protocol.domains[protocol.held_out], test_per_class, side,
                     domain_id=protocol.held_out, stream=TEST_STREAM)
-    return ProtocolSplit(train=merge_batches(train_parts), test=test)
+
+
+def split_protocol(protocol: SynthProtocol, train_per_class: int, test_per_class: int,
+                   side: int = 32, min_source_domains: int = 1) -> ProtocolSplit:
+    """:func:`training_set` and :func:`held_out_set` together."""
+    return ProtocolSplit(train=training_set(protocol, train_per_class, side, min_source_domains),
+                         test=held_out_set(protocol, test_per_class, side))
 
 
 def source_validation(protocol: SynthProtocol, n_per_class: int, side: int = 32) -> DomainBatch:

@@ -27,9 +27,10 @@ from histadapter.metrics import MetricReport, ScoreSet, eer, evaluate_scores
 from histadapter.optim import Adam
 from histadapter.synth import (
     SynthProtocol,
+    held_out_set,
     source_validation,
-    split_protocol,
     style_bank,
+    training_set,
 )
 from histadapter.vit import PRESETS, VisionTransformer, build_model
 
@@ -68,16 +69,16 @@ def train_run(cfg: RunConfig, out_dir=None) -> TrainResult:
 
     side = PRESETS[cfg.preset].image
     protocol = build_protocol(cfg)
-    split = split_protocol(protocol, cfg.train_per_class, cfg.test_per_class, side,
-                           min_source_domains=2 if cfg.tsr_lambda > 0 else 1)
+    train = training_set(protocol, cfg.train_per_class, side,
+                         min_source_domains=2 if cfg.tsr_lambda > 0 else 1)
     model = _build_adapted_model(cfg)
     model.set_style_capture(cfg.tsr_lambda > 0)
     optimizer = Adam(model.trainable_parameters(), lr=cfg.lr)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([29, cfg.seed]))
 
-    images = split.train.images.data
-    labels = split.train.labels
-    domains = split.train.domain_ids
+    images = train.images.data
+    labels = train.labels
+    domains = train.domain_ids
     rows = []
     for epoch in range(cfg.epochs):
         sums = np.zeros(3)
@@ -135,7 +136,7 @@ def evaluate_run(cfg: RunConfig, checkpoint_path) -> MetricReport:
     cfg.validate()
     side = PRESETS[cfg.preset].image
     protocol = build_protocol(cfg)
-    split = split_protocol(protocol, cfg.train_per_class, cfg.test_per_class, side)
+    test = held_out_set(protocol, cfg.test_per_class, side)
     model = _build_adapted_model(cfg)
     assign_parameters(model.parameters(), load_checkpoint(checkpoint_path),
                       path=str(checkpoint_path))
@@ -144,5 +145,5 @@ def evaluate_run(cfg: RunConfig, checkpoint_path) -> MetricReport:
     val_scores = score_batch(model, val.images.data)
     _, threshold = eer(ScoreSet(val_scores, val.labels))
 
-    test_scores = score_batch(model, split.test.images.data)
-    return evaluate_scores(ScoreSet(test_scores, split.test.labels), threshold)
+    test_scores = score_batch(model, test.images.data)
+    return evaluate_scores(ScoreSet(test_scores, test.labels), threshold)

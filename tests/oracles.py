@@ -164,3 +164,90 @@ def tpr_at_fpr_sweep(scores, labels, target_fpr):
             y0, y1 = best[x0], best[x1]
             return y0 + (target_fpr - x0) / (x1 - x0) * (y1 - y0)
     raise AssertionError("target fpr beyond the curve")
+
+
+# The synthetic-domain generator, one image at a time. Each image's draws are
+# made in the stream order `histadapter.synth.generate` promises: the
+# texture's 19 uniforms, its coarse field's 48 normals, an attack's artifact
+# draws, then the style's noise.
+
+def _binomial_blur(img):
+    """One [1, 2, 1]/4 pass along each spatial axis with edge replication."""
+    padded = np.pad(img, ((0, 0), (1, 1), (0, 0)), mode="edge")
+    img = 0.25 * padded[:, :-2] + 0.5 * padded[:, 1:-1] + 0.25 * padded[:, 2:]
+    padded = np.pad(img, ((0, 0), (0, 0), (1, 1)), mode="edge")
+    return 0.25 * padded[:, :, :-2] + 0.5 * padded[:, :, 1:-1] + 0.25 * padded[:, :, 2:]
+
+
+def _smooth_field(rng, side):
+    coarse = rng.normal(0.0, 0.08, (3, 4, 4))
+    rep = side // 4
+    field_ = np.repeat(np.repeat(coarse, rep, axis=1), rep, axis=2)
+    for _ in range(2):
+        field_ = _binomial_blur(field_)
+    return field_
+
+
+def _bona_fide_texture(rng, side):
+    yy, xx = np.mgrid[0:side, 0:side] / side
+    base = np.array([0.55, 0.45, 0.40]) + rng.uniform(-0.05, 0.05, 3)
+    cx, cy = 0.5 + rng.uniform(-0.08, 0.08, 2)
+    ax = 0.30 + rng.uniform(0.0, 0.10)
+    ay = 0.36 + rng.uniform(0.0, 0.10)
+    blob = np.exp(-(((xx - cx) / ax) ** 2 + ((yy - cy) / ay) ** 2))
+    img = base[:, None, None] * blob[None] + 0.12
+    for _ in range(3):
+        fx = cx + rng.uniform(-0.15, 0.15)
+        fy = cy + rng.uniform(-0.18, 0.18)
+        fr = rng.uniform(0.04, 0.09)
+        spot = np.exp(-(((xx - fx) ** 2 + (yy - fy) ** 2) / fr ** 2))
+        img -= rng.uniform(0.10, 0.25) * spot[None]
+    return img + _smooth_field(rng, side)
+
+
+def _moire_pattern(rng, side):
+    px, py = rng.integers(3, 5, size=2)
+    phx, phy = rng.uniform(0.0, 2.0 * np.pi, 2)
+    yy, xx = np.mgrid[0:side, 0:side]
+    pattern = np.sin(2 * np.pi * xx / px + phx) * np.sin(2 * np.pi * yy / py + phy)
+    amp = rng.uniform(0.18, 0.26)
+    weights = 1.0 + rng.uniform(-0.15, 0.15, 3)
+    return amp * weights[:, None, None] * pattern[None]
+
+
+def _halftone_pattern(rng, side):
+    p = int(rng.integers(3, 5))
+    phx, phy = rng.uniform(0.0, 2.0 * np.pi, 2)
+    yy, xx = np.mgrid[0:side, 0:side]
+    carrier = np.cos(2 * np.pi * xx / p + phx) * np.cos(2 * np.pi * yy / p + phy)
+    dots = (carrier > 0.2).astype(np.float64)
+    dots -= dots.mean()
+    amp = rng.uniform(0.20, 0.28)
+    weights = 1.0 + rng.uniform(-0.15, 0.15, 3)
+    return amp * weights[:, None, None] * dots[None]
+
+
+def _apply_style(img, style, rng):
+    img = img * np.asarray(style.color_gain)[:, None, None] + style.brightness_offset
+    if style.noise_sigma > 0:
+        img = img + rng.normal(0.0, style.noise_sigma, img.shape)
+    for _ in range(style.blur_radius):
+        img = _binomial_blur(img)
+    return np.clip(img, 0.0, 1.0)
+
+
+def synth_loops(style, n_per_class, side, domain_id, stream):
+    """Images, labels, domain ids and example ids of one domain and stream."""
+    rng = np.random.default_rng(np.random.SeedSequence([style.seed, stream]))
+    images, labels, ids = [], [], []
+    for i in range(n_per_class):
+        images.append(_apply_style(_bona_fide_texture(rng, side), style, rng))
+        labels.append(0)
+        ids.append(f"d{domain_id}-s{stream}-bona-{i}")
+    for i in range(n_per_class):
+        base = _bona_fide_texture(rng, side)
+        artifact = _moire_pattern(rng, side) if i % 2 == 0 else _halftone_pattern(rng, side)
+        images.append(_apply_style(base + artifact, style, rng))
+        labels.append(1)
+        ids.append(f"d{domain_id}-s{stream}-attack-{i}")
+    return np.stack(images), np.array(labels), np.full(2 * n_per_class, domain_id), ids

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from histadapter import cli, losses, training
+from histadapter import cli, losses, synth, training
 from histadapter.adapter import FUSIONS, VARIANTS
 from histadapter.autodiff import ShapeError, Tensor, no_grad
 from histadapter.checkpoint import assign_parameters, load_checkpoint
@@ -140,6 +140,23 @@ class TestTrainEval:
         assert lines[0] == "epoch,bce,tsr,total"
         assert len(lines) == 1 + cfg.epochs
         assert result.checkpoint_path.exists()
+
+    def test_runs_draw_only_the_streams_they_read(self, trained, tmp_path, monkeypatch):
+        cfg, result = trained
+        streams = []
+        real = synth.generate
+
+        def spy(style, n_per_class, side, domain_id, stream):
+            streams.append(stream)
+            return real(style, n_per_class, side, domain_id, stream)
+
+        monkeypatch.setattr(synth, "generate", spy)
+        train_run(load_config(None, {**SMALL, "epochs": "1", "few_shot_k": "2",
+                                     "out": str(tmp_path)}))
+        assert sorted(set(streams)) == [synth.TRAIN_STREAM, synth.FEWSHOT_STREAM]
+        streams.clear()
+        evaluate_run(cfg, result.checkpoint_path)
+        assert sorted(set(streams)) == [synth.TEST_STREAM, synth.VAL_STREAM]
 
     def test_total_is_bce_plus_lambda_tsr(self, trained):
         cfg, result = trained
@@ -313,6 +330,11 @@ class TestCliCommands:
                      "--domains", "2", "--per-class", "2", "--side", "16"]) == 0
         rows = list(csv.DictReader((tmp_path / "data" / "manifest.csv").open()))
         assert len(rows) == 8
+
+    def test_synth_dump_rejects_a_side_that_is_not_a_multiple_of_4(self, tmp_path):
+        with pytest.raises(ValueError, match="side must be a positive multiple of 4, got 30$"):
+            main(["synth-dump", "--out", str(tmp_path / "data"), "--side", "30"])
+        assert not (tmp_path / "data").exists()
 
     def test_ablate_cli_writes_grid(self, tmp_path):
         config = tmp_path / "run.cfg"

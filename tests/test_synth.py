@@ -5,6 +5,10 @@ import pytest
 
 from histadapter.metrics import ScoreSet, auc, roc
 from histadapter.synth import (
+    FEWSHOT_STREAM,
+    TEST_STREAM,
+    TRAIN_STREAM,
+    VAL_STREAM,
     DomainStyle,
     SynthProtocol,
     dump_dataset,
@@ -15,6 +19,8 @@ from histadapter.synth import (
     split_protocol,
     style_bank,
 )
+
+from oracles import synth_loops
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +70,62 @@ class TestGenerate:
             DomainStyle(noise_sigma=-0.1)
         with pytest.raises(ValueError, match="n_per_class"):
             generate(DomainStyle(), 0)
+
+    @pytest.mark.parametrize("side", [30, 2, 0, -4])
+    def test_side_must_be_a_positive_multiple_of_4(self, side):
+        with pytest.raises(ValueError, match=f"side must be a positive multiple of 4, got {side}$"):
+            generate(DomainStyle(), 1, side)
+
+
+def assert_equals_oracle(batch, parts):
+    """``batch`` equals the per-image oracle's ``parts``, (style, n, side, domain, stream)
+    each, concatenated: images bit for bit, labels, domain ids and example ids."""
+    expected = [synth_loops(*part) for part in parts]
+    images = np.concatenate([e[0] for e in expected])
+    assert batch.images.data.shape == images.shape
+    mismatched = np.flatnonzero((batch.images.data != images).reshape(len(images), -1).any(1))
+    assert mismatched.size == 0, f"images {mismatched[:10].tolist()} differ"
+    assert np.array_equal(batch.labels, np.concatenate([e[1] for e in expected]))
+    assert np.array_equal(batch.domain_ids, np.concatenate([e[2] for e in expected]))
+    assert batch.example_ids == [i for e in expected for i in e[3]]
+
+
+class TestBatchedEqualsPerImageOracle:
+    """The batched generator draws per image in the oracle's order, so every image is
+    bit-identical. Each count straddles a chunk boundary: chunks hold 64 images at 16 px,
+    16 at 32 px and 1 at 224 px."""
+
+    STYLES = style_bank(6, 7)
+    SIDES = ((16, 65), (32, 17), (224, 2))
+
+    @pytest.mark.parametrize("domain", range(len(STYLES)))
+    @pytest.mark.parametrize("stream", [TRAIN_STREAM, TEST_STREAM, FEWSHOT_STREAM, VAL_STREAM])
+    def test_generate(self, domain, stream):
+        side, n = self.SIDES[(domain + stream) % len(self.SIDES)]
+        style = self.STYLES[domain]
+        assert_equals_oracle(generate(style, n, side, domain, stream),
+                             [(style, n, side, domain, stream)])
+
+    def test_generate_without_noise_and_with_two_blur_passes(self):
+        style = DomainStyle(color_gain=(1.2, 0.9, 1.0), noise_sigma=0.0, blur_radius=2, seed=5)
+        assert_equals_oracle(generate(style, 17, 32, 6, TEST_STREAM),
+                             [(style, 17, 32, 6, TEST_STREAM)])
+
+    def test_generate_squares_each_spot_radius_as_a_python_float(self):
+        # squaring the radii as one array flips images 356, 775 and 896 by an ulp
+        style = self.STYLES[0]
+        assert_equals_oracle(generate(style, 640, 32, 0, TEST_STREAM),
+                             [(style, 640, 32, 0, TEST_STREAM)])
+
+    def test_split_protocol_and_source_validation(self):
+        protocol = SynthProtocol(self.STYLES[:4], held_out=1, few_shot_k=3)
+        split = split_protocol(protocol, 5, 6, 16)
+        assert_equals_oracle(split.train, [(self.STYLES[i], 5, 16, i, TRAIN_STREAM)
+                                           for i in (0, 2, 3)]
+                             + [(self.STYLES[1], 3, 16, 1, FEWSHOT_STREAM)])
+        assert_equals_oracle(split.test, [(self.STYLES[1], 6, 16, 1, TEST_STREAM)])
+        assert_equals_oracle(source_validation(protocol, 4, 16),
+                             [(self.STYLES[i], 4, 16, i, VAL_STREAM) for i in (0, 2, 3)])
 
 
 class TestLearnability:

@@ -9,8 +9,10 @@ two domains, so their TSR is a constant and reaches no parameter), plus
 examples per class, so four domains enter the TSR and each domain's
 gradient sums three pair terms, where the order of the sum shows), and
 prints the sha256 of each run's ``model.ckpt`` and ``train_log.csv``. Next
-comes the sha256 of the CSV that ``histadapter gradcheck --out`` writes. A
-change that alters no float operation prints the same rows as its parent.
+comes the sha256 of the CSV that ``histadapter gradcheck --out`` writes, then
+``synth ablation.cfg <sha256>`` over the bytes of the config's training,
+held-out test and source-validation images, in that order. A change that
+alters no float operation prints the same rows as its parent.
 
 The last three rows are counters, not identity rows: a refactor may move
 them. ``step peak toy <MiB>`` and ``step peak tiny <MiB>`` are the
@@ -33,7 +35,9 @@ from pathlib import Path
 from histadapter.adapter import FUSIONS, VARIANTS
 from histadapter.cli import main as cli_main
 from histadapter.config import load_config
-from histadapter.training import train_run
+from histadapter.synth import source_validation, split_protocol
+from histadapter.training import build_protocol, train_run
+from histadapter.vit import PRESETS
 
 from step_peak import step_peaks
 
@@ -44,6 +48,17 @@ EPOCHS = 3
 
 def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def synth_sha256(cfg) -> str:
+    """One digest over the images of every split ``cfg`` draws."""
+    side = PRESETS[cfg.preset].image
+    protocol = build_protocol(cfg)
+    split = split_protocol(protocol, cfg.train_per_class, cfg.test_per_class, side)
+    digest = hashlib.sha256()
+    for batch in (split.train, split.test, source_validation(protocol, cfg.val_per_class, side)):
+        digest.update(batch.images.data.tobytes())
+    return digest.hexdigest()
 
 
 def main() -> None:
@@ -65,6 +80,7 @@ def main() -> None:
         with contextlib.redirect_stdout(io.StringIO()):
             cli_main(["gradcheck", "--out", str(root / "gradcheck")])
         print(f"gradcheck.csv {sha256(root / 'gradcheck' / 'gradcheck.csv')}")
+    print(f"synth {CONFIG.name} {synth_sha256(load_config(CONFIG, {}))}")
     for recipe, mib in step_peaks().items():
         print(f"step peak {recipe} {mib:.1f}")
     lines = sum(p.read_bytes().count(b"\n") for p in (ROOT / "src" / "histadapter").glob("*.py"))
