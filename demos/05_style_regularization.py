@@ -8,7 +8,7 @@ Run:  python demos/05_style_regularization.py
 import numpy as np
 
 from histadapter.autodiff import Tensor
-from histadapter.losses import batch_tsr, gram, tsr_pair
+from histadapter.losses import batch_tsr
 
 rng = np.random.default_rng(4)
 
@@ -17,15 +17,23 @@ content = rng.standard_normal((4, 6, 6))
 domain_a = content * 1.0
 domain_b = content * 1.6 + 0.3
 
-# gram is a readout: a plain array, no graph
-ga = gram(domain_a)
-gb = gram(domain_b)
-print("gram diagonal, domain A:", np.diag(ga).round(3))
-print("gram diagonal, domain B:", np.diag(gb).round(3))
-print("style distance         :",
-      float(tsr_pair(Tensor(domain_a), Tensor(domain_b)).data))
-print("distance to itself     :",
-      float(tsr_pair(Tensor(domain_a), Tensor(domain_a)).data))
+
+def gram(z):
+    """Channel-by-channel second moment of one (C, H, W) map."""
+    flat = z.reshape(z.shape[0], -1)
+    return flat @ flat.T / flat.size
+
+
+def style_distance(*grids):
+    """The regularizer over one bona fide map per domain."""
+    maps = Tensor(np.stack(grids))
+    return float(batch_tsr(maps, np.zeros(len(grids)), np.arange(len(grids))).data)
+
+
+print("gram diagonal, domain A:", np.diag(gram(domain_a)).round(3))
+print("gram diagonal, domain B:", np.diag(gram(domain_b)).round(3))
+print("style distance         :", style_distance(domain_a, domain_b))
+print("distance to itself     :", style_distance(domain_a, domain_a))
 
 # batch version: grouped by domain, bona fide only; one graph node whose
 # backward gives each domain's pooled map dF = (dG + dG^T) F / F.size

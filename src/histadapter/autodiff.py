@@ -721,17 +721,19 @@ class GradCheckReport:
                 f"max rel err={self.max_relative_error:.3e}  [{status}]")
 
 
+FD_EPS = 1e-5
+
+
 def finite_difference_check(f: Callable[[Tensor], Tensor], x: Tensor,
-                            eps: float = 1e-5, tolerance: float = 1e-5,
+                            tolerance: float = 1e-5,
                             op_name: str = "f") -> GradCheckReport:
-    """Compare reverse-mode d f / d x against central differences.
+    """Compare reverse-mode d f / d x against central differences of step
+    :data:`FD_EPS`.
 
     ``f`` must map ``x`` to a scalar tensor and must not cache state across
     calls. Relative error uses denominator max(|analytic|, |numeric|, 1e-8)
     per element.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     x.requires_grad = True
     x.zero_grad()
     out = f(x)
@@ -744,12 +746,12 @@ def finite_difference_check(f: Callable[[Tensor], Tensor], x: Tensor,
     numeric = np.zeros(flat.size, dtype=np.float64)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + eps
+        flat[i] = orig + FD_EPS
         f_plus = float(f(x).data.reshape(-1)[0])
-        flat[i] = orig - eps
+        flat[i] = orig - FD_EPS
         f_minus = float(f(x).data.reshape(-1)[0])
         flat[i] = orig
-        numeric[i] = (f_plus - f_minus) / (2.0 * eps)
+        numeric[i] = (f_plus - f_minus) / (2.0 * FD_EPS)
 
     a = analytic.reshape(-1)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(numeric)), 1e-8)

@@ -98,17 +98,20 @@ def cmd_gradcheck(args) -> int:
     return 1 if failures else 0
 
 
-def _parse_list(text: str, cast):
-    return [cast(part) for part in text.split(",") if part != ""]
+def _parse_list(text: str, cast, flag: str):
+    values = [cast(part) for part in text.split(",") if part != ""]
+    if not values:
+        raise ValueError(f"{flag} needs at least one value, got {text!r}")
+    return values
 
 
 def cmd_ablate(args) -> int:
     base = _config_from(args)
-    variants = _parse_list(args.variants, str)
-    thetas = _parse_list(args.thetas, float)
-    lambdas = _parse_list(args.lambdas, float)
-    fusions = _parse_list(args.fusions, str)
-    seeds = _parse_list(args.seeds, int)
+    variants = _parse_list(args.variants, str, "--variants")
+    thetas = _parse_list(args.thetas, float, "--thetas")
+    lambdas = _parse_list(args.lambdas, float, "--lambdas")
+    fusions = _parse_list(args.fusions, str, "--fusions")
+    seeds = _parse_list(args.seeds, int, "--seeds")
     out_dir = Path(base.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = [METRIC_CSV_HEADER]

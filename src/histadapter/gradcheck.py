@@ -16,7 +16,7 @@ import numpy as np
 from histadapter import autodiff as ad
 from histadapter.adapter import HistAdapter
 from histadapter.autodiff import GradCheckReport, Tensor, finite_difference_check
-from histadapter.losses import binary_cross_entropy_with_logits, tsr_pair
+from histadapter.losses import batch_tsr, binary_cross_entropy_with_logits
 
 __all__ = ["run_gradient_checks", "OP_TOLERANCE", "COMPOSED_TOLERANCE"]
 
@@ -114,6 +114,12 @@ def _positive_readout(rng, shape):
     return _readout(rng, shape, lambda rng, shape: rng.uniform(0.5, 1.5, shape))
 
 
+def _two_domain_tsr(lhs, rhs):
+    """:func:`batch_tsr` of two bona fide (C, H, W) maps, from domains 0 and 1."""
+    maps = ad.concat([ad.reshape(t, (1,) + t.shape) for t in (lhs, rhs)])
+    return batch_tsr(maps, [0, 0], [0, 1])
+
+
 # (op, operand names, operand shapes[, draw, readout]): one row per operand,
 # named "<op>/<operand>", or "<op>" for an op of one operand
 CHECKS = [
@@ -139,12 +145,14 @@ CHECKS = [
     (lambda t: t[1:, None, ..., 2], ("index",), ((3, 4, 5),)),
     (lambda t: binary_cross_entropy_with_logits(t, [0, 1, 1, 0, 1, 0]),
      ("bce_with_logits",), ((6, 2),)),
-    (tsr_pair, ("tsr_pair/lhs", "tsr_pair/rhs"), ((3, 4, 4), (3, 4, 4))),
+    (_two_domain_tsr, ("tsr_pair/lhs", "tsr_pair/rhs"), ((3, 4, 4), (3, 4, 4))),
 ]
 
 
 def run_gradient_checks(instances_per_op: int = 5, seed: int = 0) -> list:
     """Every per-op check of :data:`CHECKS`, then the composed-adapter checks, as reports."""
+    if instances_per_op < 1:
+        raise ValueError(f"instances_per_op must be at least 1, got {instances_per_op}")
     rng = np.random.default_rng(np.random.SeedSequence([41, seed]))
     reports = []
     for check in CHECKS:

@@ -17,9 +17,6 @@ from histadapter import autodiff as ad
 from histadapter.autodiff import ShapeError, Tensor, accumulate_grad, graph_op
 
 __all__ = [
-    "gram",
-    "tsr_pair",
-    "tsr_average",
     "batch_tsr",
     "binary_cross_entropy_with_logits",
     "total_loss",
@@ -29,39 +26,9 @@ __all__ = [
 BONA_FIDE = 0
 
 
-def gram(z) -> np.ndarray:
-    """Channel-by-channel second moment of one (C, H, W) map, as a plain array:
-    G[k,k'] = sum_hw z_k z_k' / (C*H*W). A readout; it builds no graph."""
-    z = z.data if isinstance(z, Tensor) else np.asarray(z, dtype=np.float64)
-    if z.ndim != 3:
-        raise ShapeError(f"gram expects a single (C, H, W) map, got {z.shape}")
-    return _gram(z.reshape(z.shape[0], -1))
-
-
 def _gram(flat: np.ndarray) -> np.ndarray:
     # both operands are one buffer, so numpy takes its A @ A.T path
     return (flat @ flat.T) * float(1.0 / flat.size)
-
-
-def tsr_pair(z1, z2) -> Tensor:
-    """Squared Frobenius distance between two (C, H, W) maps' Gram matrices."""
-    return tsr_average([z1, z2])
-
-
-def tsr_average(domain_grids) -> Tensor:
-    """Mean of :func:`tsr_pair` over all unordered pairs of (C, H, W) domain maps,
-    which must share one shape: :func:`batch_tsr` with one bona fide map per domain.
-
-    With fewer than two domains the batch is degenerate and the value is 0.
-    """
-    grids = list(domain_grids)
-    if len(grids) < 2:
-        return Tensor(np.zeros(()))
-    if len({g.shape for g in grids}) > 1:
-        raise ShapeError(f"style maps disagree in shape (channels, height, width): "
-                         f"{[g.shape for g in grids]}")
-    maps = ad.concat([ad.reshape(g, (1,) + g.shape) for g in grids])
-    return batch_tsr(maps, np.full(len(grids), BONA_FIDE), np.arange(len(grids)))
 
 
 def batch_tsr(style_maps: Tensor, labels, domain_ids) -> Tensor:

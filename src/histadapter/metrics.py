@@ -187,11 +187,15 @@ def _curve_tpr_at_fpr(curve: RocCurve, target_fpr: float) -> float:
     return float(y0 + (target_fpr - x0) / (x1 - x0) * (y1 - y0))
 
 
-def acer_suite(s: ScoreSet, threshold: float = 0.5) -> tuple:
-    """(APCER, BPCER, ACER) at a fixed threshold on probability scores."""
+# the conventional ACER decision threshold on attack probabilities
+ACER_THRESHOLD = 0.5
+
+
+def acer_suite(s: ScoreSet) -> tuple:
+    """(APCER, BPCER, ACER) at :data:`ACER_THRESHOLD` on probability scores."""
     if np.any(s.scores < 0.0) or np.any(s.scores > 1.0):
         raise ValueError("ACER expects probability scores in [0, 1]")
-    apcer, bpcer = _error_rates(s, threshold)
+    apcer, bpcer = _error_rates(s, ACER_THRESHOLD)
     return apcer, bpcer, (apcer + bpcer) / 2.0
 
 

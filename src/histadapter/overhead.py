@@ -92,12 +92,14 @@ class OverheadReport:
         return self.adapter_macs / self.backbone_macs
 
 
-def account(preset: str, adapter_dim: int = 8, variant: str = "full",
-            fusion: str = "sum") -> OverheadReport:
-    """Per-image accounting for a preset with two adapters per block."""
+def account(preset: str, adapter_dim: int = 8) -> OverheadReport:
+    """Per-image accounting for a preset with two of the paper's adapters
+    (``full`` variant, sum fusion) per block."""
+    if adapter_dim < 1:
+        raise ValueError(f"adapter_dim must be at least 1, got {adapter_dim}")
     cfg = PRESETS[preset]
-    per_adapter_p = adapter_params(cfg, adapter_dim, variant, fusion)
-    per_adapter_m = adapter_macs(cfg, adapter_dim, variant, fusion)
+    per_adapter_p = adapter_params(cfg, adapter_dim)
+    per_adapter_m = adapter_macs(cfg, adapter_dim)
     return OverheadReport(
         preset=preset,
         backbone_params=backbone_params(cfg) + head_params(cfg),

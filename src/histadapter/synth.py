@@ -111,6 +111,8 @@ _CANONICAL_STYLES = (
 
 def style_bank(num_domains: int, base_seed: int = 7) -> list:
     """Deterministic roster of domain styles; the first four are hand-tuned."""
+    if num_domains < 1:
+        raise ValueError(f"num_domains must be at least 1, got {num_domains}")
     styles = []
     rng = np.random.default_rng(np.random.SeedSequence([23, base_seed]))
     for i in range(num_domains):

@@ -267,8 +267,8 @@ def attention_chain(q, k, v, heads):
 
 
 def gram_chain(z):
-    """``losses.gram`` of one (C, H, W) map as reshape, matmul with its
-    transpose, scale."""
+    """The Gram matrix ``losses._gram`` takes of one (C, H, W) map, as
+    reshape, matmul with its transpose, scale."""
     c, h, w = z.shape
     flat = ad.reshape(z, (c, h * w))
     return ad.scale(matmul(flat, ad.transpose(flat, (1, 0))), 1.0 / (c * h * w))

@@ -14,7 +14,7 @@ from histadapter.cdc import CdcConv
 from histadapter.config import load_config
 from histadapter.gradcheck import run_gradient_checks
 from histadapter.histogram import SoftHistogram
-from histadapter.losses import batch_tsr, binary_cross_entropy_with_logits, tsr_average, tsr_pair
+from histadapter.losses import batch_tsr, binary_cross_entropy_with_logits
 from histadapter.metrics import ScoreSet, acer_suite, auc, eer, roc
 from histadapter.optim import Adam
 from histadapter.overhead import account
@@ -125,14 +125,19 @@ def test_criterion_4_adapter_identity_at_init():
 
 
 def test_criterion_5_tsr_algebra():
+    def domain_tsr(grids):
+        # one bona fide (C, H, W) map per domain
+        return float(batch_tsr(Tensor(np.stack(grids)), np.zeros(len(grids)),
+                               np.arange(len(grids))).data)
+
     rng = np.random.default_rng(5)
     z = rng.standard_normal((3, 4, 4))
-    self_zero = float(tsr_pair(Tensor(z), Tensor(z)).data) == 0.0
-    sign_zero = float(tsr_pair(Tensor(z), Tensor(-z)).data) == 0.0
+    self_zero = domain_tsr([z, z]) == 0.0
+    sign_zero = domain_tsr([z, -z]) == 0.0
 
-    grids = [Tensor(rng.standard_normal((3, 4, 4))) for _ in range(3)]
-    avg = float(tsr_average(grids).data)
-    pairs = [float(tsr_pair(a, b).data) for a, b in combinations(grids, 2)]
+    grids = [rng.standard_normal((3, 4, 4)) for _ in range(3)]
+    avg = domain_tsr(grids)
+    pairs = [domain_tsr([a, b]) for a, b in combinations(grids, 2)]
     three_pairs = len(pairs) == 3 and abs(avg - np.mean(pairs)) < 1e-15
 
     maps = Tensor(rng.standard_normal((6, 3, 2, 2)), requires_grad=True)

@@ -336,6 +336,34 @@ class TestCliCommands:
             main(["synth-dump", "--out", str(tmp_path / "data"), "--side", "30"])
         assert not (tmp_path / "data").exists()
 
+    def test_synth_dump_rejects_zero_domains(self, tmp_path):
+        with pytest.raises(ValueError, match="num_domains must be at least 1, got 0$"):
+            main(["synth-dump", "--out", str(tmp_path / "data"), "--domains", "0"])
+        assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("dim", ["-8", "0"])
+    def test_params_rejects_an_adapter_dim_below_1(self, tmp_path, dim):
+        with pytest.raises(ValueError, match=f"adapter_dim must be at least 1, got {dim}$"):
+            main(["params", "--adapter-dim", dim, "--out", str(tmp_path / "p")])
+        assert not (tmp_path / "p").exists()
+
+    def test_gradcheck_rejects_zero_instances(self, tmp_path):
+        with pytest.raises(ValueError, match="instances_per_op must be at least 1, got 0$"):
+            main(["gradcheck", "--instances", "0", "--out", str(tmp_path / "g")])
+        assert not (tmp_path / "g").exists()
+
+    @pytest.mark.parametrize("flag", ["--variants", "--thetas", "--lambdas",
+                                      "--fusions", "--seeds"])
+    def test_ablate_rejects_an_empty_grid_list(self, tmp_path, flag):
+        grid = {"--variants": "full", "--thetas": "0.7", "--lambdas": "0",
+                "--fusions": "sum", "--seeds": "0", flag: ","}
+        argv = ["ablate", "--out", str(tmp_path / "ab")]
+        for name, value in grid.items():
+            argv += [name, value]
+        with pytest.raises(ValueError, match=f"^{flag} needs at least one value, got ','$"):
+            main(argv)
+        assert not (tmp_path / "ab").exists()
+
     def test_ablate_cli_writes_grid(self, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("\n".join(f"{k}={v}" for k, v in SMALL.items()) + "\n")
