@@ -67,9 +67,7 @@ class HistAdapter:
         if variant == "no_hist_no_cdc":
             theta = 0.0
         self.model_dim = model_dim
-        self.adapter_dim = adapter_dim
         self.variant = variant
-        self.fusion = fusion
         self.dim_down = Linear(model_dim, adapter_dim, rng)
         self.cdc = CdcConv(adapter_dim, adapter_dim, rng, theta=theta) \
             if variant in _USES_CDC else None

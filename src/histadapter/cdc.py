@@ -42,8 +42,6 @@ class CdcConv:
         )
         self.bias = Tensor(np.zeros(out_channels), requires_grad=True)
         self.theta = float(theta)
-        self.in_channels = in_channels
-        self.out_channels = out_channels
 
     def forward_tensor(self, x: Tensor) -> Tensor:
         """(B, Cin, H, W) map to (B, Cout, H, W)."""

@@ -113,27 +113,24 @@ def cmd_ablate(args) -> int:
     fusions = _parse_list(args.fusions, str, "--fusions")
     seeds = _parse_list(args.seeds, int, "--seeds")
     out_dir = Path(base.out)
+    cells = [((variant, theta, lam, fusion), [
+        replace(base, variant=variant, theta=theta, tsr_lambda=lam, fusion=fusion, seed=seed,
+                out=str(out_dir / f"{variant}-t{theta}-l{lam}-{fusion}-s{seed}")).validate()
+        for seed in seeds])
+        for variant in variants for theta in thetas for lam in lambdas for fusion in fusions]
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = [METRIC_CSV_HEADER]
     means: dict = {}
-    for variant in variants:
-        for theta in thetas:
-            for lam in lambdas:
-                for fusion in fusions:
-                    cell_hters = []
-                    for seed in seeds:
-                        cfg = replace(
-                            base, variant=variant, theta=theta, tsr_lambda=lam,
-                            fusion=fusion, seed=seed,
-                            out=str(out_dir / f"{variant}-t{theta}-l{lam}-{fusion}-s{seed}"),
-                        ).validate()
-                        result = train_run(cfg)
-                        report = evaluate_run(cfg, result.checkpoint_path)
-                        rows.append(report.csv_row(cfg.protocol_name, seed, variant,
-                                                   fusion, lam, theta))
-                        cell_hters.append(report.hter)
-                        print(rows[-1])
-                    means[(variant, theta, lam, fusion)] = float(np.mean(cell_hters))
+    for cell, cfgs in cells:
+        cell_hters = []
+        for cfg in cfgs:
+            result = train_run(cfg)
+            report = evaluate_run(cfg, result.checkpoint_path)
+            rows.append(report.csv_row(cfg.protocol_name, cfg.seed, cfg.variant, cfg.fusion,
+                                       cfg.tsr_lambda, cfg.theta))
+            cell_hters.append(report.hter)
+            print(rows[-1])
+        means[cell] = float(np.mean(cell_hters))
     (out_dir / "ablation.csv").write_text("\n".join(rows) + "\n")
     summary = ["variant,theta,lambda,fusion,mean_hter"]
     summary += [f"{v},{t:.10g},{l:.10g},{f},{m:.10g}" for (v, t, l, f), m in means.items()]

@@ -63,8 +63,9 @@ class RunConfig:
             raise ValueError(
                 f"held_out {self.held_out} out of range for {self.num_domains} domains"
             )
-        if self.few_shot_k < 0:
-            raise ValueError(f"few_shot_k must be >= 0, got {self.few_shot_k}")
+        for name in ("few_shot_k", "seed", "style_seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         first_line = f"out={self.out}".splitlines()[0]
         if parse_config_text(first_line).get("out") != self.out:
             raise ValueError(f"out {self.out!r} would not read back from config.txt")

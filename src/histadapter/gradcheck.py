@@ -153,6 +153,8 @@ def run_gradient_checks(instances_per_op: int = 5, seed: int = 0) -> list:
     """Every per-op check of :data:`CHECKS`, then the composed-adapter checks, as reports."""
     if instances_per_op < 1:
         raise ValueError(f"instances_per_op must be at least 1, got {instances_per_op}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(np.random.SeedSequence([41, seed]))
     reports = []
     for check in CHECKS:

@@ -113,6 +113,8 @@ def style_bank(num_domains: int, base_seed: int = 7) -> list:
     """Deterministic roster of domain styles; the first four are hand-tuned."""
     if num_domains < 1:
         raise ValueError(f"num_domains must be at least 1, got {num_domains}")
+    if base_seed < 0:
+        raise ValueError(f"style seed must be >= 0, got {base_seed}")
     styles = []
     rng = np.random.default_rng(np.random.SeedSequence([23, base_seed]))
     for i in range(num_domains):
@@ -257,10 +259,9 @@ def training_set(protocol: SynthProtocol, train_per_class: int, side: int = 32,
     k attack examples of the held-out domain join it, from a stream disjoint from the test's."""
     sources = protocol.source_indices
     if len(sources) < min_source_domains:
-        raise ValueError(
-            f"protocol has {len(sources)} source domains, need >= {min_source_domains} "
-            "(style regularization needs at least two)"
-        )
+        need = "style regularization needs two" if min_source_domains > 1 else "training needs one"
+        raise ValueError(f"protocol has {len(sources)} source domains, need >= "
+                         f"{min_source_domains} ({need})")
     parts = [generate(protocol.domains[i], train_per_class, side, domain_id=i,
                       stream=TRAIN_STREAM) for i in sources]
     if protocol.few_shot_k > 0:

@@ -62,35 +62,39 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator):
         yield perm[start:start + batch_size]
 
 
-def train_run(cfg: RunConfig, out_dir=None) -> TrainResult:
-    cfg.validate()
-    out = Path(out_dir if out_dir is not None else cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    side = PRESETS[cfg.preset].image
-    protocol = build_protocol(cfg)
-    train = training_set(protocol, cfg.train_per_class, side,
+def _start_run(cfg: RunConfig):
+    """A run's training set, adapted model (capturing style iff TSR is on), Adam and rng."""
+    train = training_set(build_protocol(cfg), cfg.train_per_class, PRESETS[cfg.preset].image,
                          min_source_domains=2 if cfg.tsr_lambda > 0 else 1)
     model = _build_adapted_model(cfg)
     model.set_style_capture(cfg.tsr_lambda > 0)
     optimizer = Adam(model.trainable_parameters(), lr=cfg.lr)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([29, cfg.seed]))
+    return train, model, optimizer, shuffle_rng
 
-    images = train.images.data
-    labels = train.labels
-    domains = train.domain_ids
+
+def _step_loss(model: VisionTransformer, train, idx: np.ndarray, lam: float):
+    """One step's forward and losses on the batch ``idx`` of ``train``: ``(bce, tsr, total)``."""
+    labels = train.labels[idx]
+    logits = model.forward(Tensor(train.images.data[idx]))
+    bce = binary_cross_entropy_with_logits(logits, labels)
+    tsr = batch_tsr(model.style_map, labels, train.domain_ids[idx]) if lam > 0 \
+        else Tensor(np.zeros(()))
+    return bce, tsr, total_loss(bce, tsr, lam)
+
+
+def train_run(cfg: RunConfig, out_dir=None) -> TrainResult:
+    cfg.validate()
+    train, model, optimizer, shuffle_rng = _start_run(cfg)
+    out = Path(out_dir if out_dir is not None else cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
+
     rows = []
     for epoch in range(cfg.epochs):
         sums = np.zeros(3)
         count = 0
-        for idx in _batches(len(labels), cfg.batch_size, shuffle_rng):
-            logits = model.forward(Tensor(images[idx]))
-            bce = binary_cross_entropy_with_logits(logits, labels[idx])
-            if cfg.tsr_lambda > 0:
-                tsr = batch_tsr(model.style_map, labels[idx], domains[idx])
-            else:
-                tsr = Tensor(np.zeros(()))
-            loss = total_loss(bce, tsr, cfg.tsr_lambda)
+        for idx in _batches(len(train.labels), cfg.batch_size, shuffle_rng):
+            bce, tsr, loss = _step_loss(model, train, idx, cfg.tsr_lambda)
             optimizer.zero_grad()
             loss.backward()
             optimizer.step()

@@ -364,6 +364,49 @@ class TestCliCommands:
             main(argv)
         assert not (tmp_path / "ab").exists()
 
+    def test_train_rejects_a_negative_seed_before_writing(self, tmp_path):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            main(["train", "--seed", "-1", "--out", str(tmp_path / "run")])
+        assert not (tmp_path / "run").exists()
+
+    def test_eval_rejects_a_negative_seed_before_writing(self, tmp_path):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            main(["eval", "--seed", "-1", "--out", str(tmp_path / "run"),
+                  "--checkpoint", str(tmp_path / "model.ckpt")])
+        assert not (tmp_path / "run").exists()
+
+    def test_a_negative_style_seed_is_rejected_by_key(self, tmp_path):
+        with pytest.raises(ValueError, match="^style_seed must be >= 0, got -3$"):
+            main(["train", "--set", "style_seed=-3", "--out", str(tmp_path / "run")])
+        assert not (tmp_path / "run").exists()
+
+    def test_gradcheck_rejects_a_negative_seed(self, tmp_path):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            main(["gradcheck", "--seed", "-1", "--out", str(tmp_path / "g")])
+        assert not (tmp_path / "g").exists()
+
+    def test_synth_dump_rejects_a_negative_style_seed(self, tmp_path):
+        with pytest.raises(ValueError, match="^style seed must be >= 0, got -1$"):
+            main(["synth-dump", "--style-seed", "-1", "--out", str(tmp_path / "data")])
+        assert not (tmp_path / "data").exists()
+
+    def test_ablate_validates_every_cell_before_training_one(self, tmp_path):
+        argv = ["ablate", "--out", str(tmp_path / "ab"), "--variants", "full",
+                "--thetas", "0.7", "--lambdas", "0", "--fusions", "sum", "--seeds", "0,-1"]
+        for key, value in SMALL.items():
+            argv += ["--set", f"{key}={value}"]
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            main(argv)
+        assert not (tmp_path / "ab").exists()
+
+    def test_train_names_the_source_domains_a_tsr_off_run_needs(self, tmp_path):
+        overrides = ["num_domains=1", "held_out=0", "lambda=0"]
+        with pytest.raises(ValueError, match=r"^protocol has 0 source domains, need >= 1 "
+                                             r"\(training needs one\)$"):
+            main(["train", "--out", str(tmp_path / "run"),
+                  *(arg for item in overrides for arg in ("--set", item))])
+        assert not (tmp_path / "run").exists()
+
     def test_ablate_cli_writes_grid(self, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("\n".join(f"{k}={v}" for k, v in SMALL.items()) + "\n")

@@ -20,13 +20,7 @@ from histadapter import autodiff as ad
 from histadapter import training
 from histadapter.autodiff import ShapeError, Tensor
 from histadapter.config import load_config
-from histadapter.losses import (
-    batch_tsr,
-    binary_cross_entropy_with_logits,
-    total_loss,
-)
-from histadapter.synth import split_protocol
-from histadapter.vit import PRESETS
+from histadapter.losses import batch_tsr
 
 from reference_ops import (
     attention_chain,
@@ -281,17 +275,9 @@ def first_toy_step():
     seed 0, batch 16, TSR on."""
     cfg = load_config(CONFIG, {})
     assert cfg.seed == 0 and cfg.batch_size == 16 and cfg.tsr_lambda > 0
-    split = split_protocol(training.build_protocol(cfg), cfg.train_per_class,
-                           cfg.test_per_class, PRESETS[cfg.preset].image,
-                           min_source_domains=2)
-    model = training._build_adapted_model(cfg)
-    model.set_style_capture(True)
-    shuffle_rng = np.random.default_rng(np.random.SeedSequence([29, cfg.seed]))
-    idx = next(training._batches(len(split.train.labels), cfg.batch_size, shuffle_rng))
-    logits = model.forward(Tensor(split.train.images.data[idx]))
-    bce = binary_cross_entropy_with_logits(logits, split.train.labels[idx])
-    tsr = batch_tsr(model.style_map, split.train.labels[idx], split.train.domain_ids[idx])
-    return model, total_loss(bce, tsr, cfg.tsr_lambda)
+    train, model, _, shuffle_rng = training._start_run(cfg)
+    idx = next(training._batches(len(train.labels), cfg.batch_size, shuffle_rng))
+    return model, training._step_loss(model, train, idx, cfg.tsr_lambda)[-1]
 
 
 def test_one_toy_training_step_builds_under_140_grad_ops():

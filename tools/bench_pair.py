@@ -7,8 +7,8 @@ workload of ``BENCHMARK.json`` and each of 10 seeds from 901 it runs
 ``perfbench/run.py`` for the benchmark's ``run_seconds`` once in the parent
 tree and once in this checkout, and switches which tree goes first from
 one seed to the next. It adds one traced run (seed 0), one
-``tools/fingerprints.py`` run and one ``tools/step_peak.py`` measurement (this
-checkout's helper against the tree's ``src/``) per tree, then writes
+``tools/fingerprints.py`` run and one ``tools/step_peak.py`` measurement (the
+tree's own helper, which runs the tree's own training step) per tree, then writes
 ``BENCH_<TAG>.json`` at the repository root.
 
 The file keeps the schema of the earlier ``BENCH_*.json`` files for the
@@ -35,8 +35,6 @@ import tarfile
 from pathlib import Path
 
 import numpy as np
-
-from step_peak import step_peaks
 
 ROOT = Path(__file__).resolve().parents[1]
 PAIRS = 10
@@ -144,6 +142,15 @@ def fingerprints(tree: Path) -> list:
         [f"error: {(proc.stderr.strip().splitlines() or ['no output'])[-1]}"]
 
 
+def step_peak_mib(tree: Path) -> dict:
+    """``{"toy": MiB, "tiny": MiB}`` from the tree's own ``tools/step_peak.py``."""
+    code = "import json, step_peak; print(json.dumps(step_peak.step_peaks()))"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tree,
+                          env=dict(os.environ, PYTHONPATH=str(tree / "tools")),
+                          check=True, capture_output=True, text=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 def src_lines(tree: Path) -> int:
     return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "histadapter").glob("*.py"))
 
@@ -171,14 +178,14 @@ def main(argv=None) -> int:
                 run = bench(trees[name], workload, seed, seconds, 0,
                             record["model_ckpt_sha256"])
                 record["untraced"].setdefault(workload, []).append(run)
-                print(f"{workload} seed {seed} {name}: {json.dumps(run)[:160]}", flush=True)
+                print(f"{workload} seed {seed} {name}: {json.dumps(run)}", flush=True)
         for name, tree in trees.items():
             record = records[name]
             record["traced"][workload] = bench(tree, workload, 0, seconds, 1,
                                                record["model_ckpt_sha256"])
     for name, tree in trees.items():
         records[name]["fingerprints"] = fingerprints(tree)
-        records[name]["step_peak_mib"] = step_peaks(tree / "src")
+        records[name]["step_peak_mib"] = step_peak_mib(tree)
 
     report = {
         "tag": args.tag,
@@ -193,7 +200,7 @@ def main(argv=None) -> int:
                       "--trace 1",
             "src_lines": "lines of src/histadapter/*.py",
             "fingerprints": "PYTHONPATH=src python3 tools/fingerprints.py",
-            "step_peak_mib": "step_peaks(TREE/src) of this checkout's tools/step_peak.py: "
+            "step_peak_mib": "step_peaks() of each tree's own tools/step_peak.py: "
                              "tracemalloc peak (MiB) of one TSR-on training step per recipe",
             "summary": "per end-to-end metric: quartiles of each tree's runs, pairs the change "
                        "won, and the claim rule (at least 9 of 10 pairs won, at least 10 pairs, "

@@ -4,8 +4,9 @@ Runs the first training step whose batch holds bona fide examples of two
 source domains (so the token style regularizer is active) for two recipes:
 ``toy``, the ``configs/ablation.cfg`` recipe, and ``tiny``, the
 ``tiny-train`` workload as ``perfbench/worker.py`` sets it up (seed 0). The
-step is the one ``training.train_run`` takes: forward, both losses,
-``zero_grad``, backward and the Adam update. Its peak is the highest
+run starts and the step runs through ``training._start_run`` and
+``training._step_loss``, as in ``training.train_run``, followed by the same
+``zero_grad``, backward and Adam update. Its peak is the highest
 traced allocation during the step above what was traced just before it,
 in MiB, so it counts the step's graph, gradients and scratch arrays but
 not the model or the data. Both steps run in one fresh interpreter, so no
@@ -29,10 +30,10 @@ CONFIG = ROOT / "configs" / "ablation.cfg"
 RECIPES = ("toy", "tiny")
 
 
-def step_peaks(src: Path = ROOT / "src") -> dict:
+def step_peaks() -> dict:
     """``{"toy": MiB, "tiny": MiB}``: each recipe's step peak, measured in a fresh
-    interpreter that imports ``histadapter`` from ``src``."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(TOOLS)]),
+    interpreter that imports ``histadapter`` from this tree's ``src/``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(TOOLS)]),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     code = "import json, step_peak; print(json.dumps(step_peak.measure()))"
     proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
@@ -61,32 +62,18 @@ def _step_peak_mib(cfg) -> float:
     import numpy as np
 
     from histadapter import training
-    from histadapter.autodiff import Tensor
-    from histadapter.losses import batch_tsr, binary_cross_entropy_with_logits, total_loss
-    from histadapter.optim import Adam
-    from histadapter.synth import split_protocol
-    from histadapter.vit import PRESETS
 
     assert cfg.tsr_lambda > 0
     tracemalloc.start()
-    train = split_protocol(training.build_protocol(cfg), cfg.train_per_class,
-                           cfg.test_per_class, PRESETS[cfg.preset].image,
-                           min_source_domains=2).train
-    model = training._build_adapted_model(cfg)
-    model.set_style_capture(True)
-    optimizer = Adam(model.trainable_parameters(), lr=cfg.lr)
-    shuffle_rng = np.random.default_rng(np.random.SeedSequence([29, cfg.seed]))
+    train, model, optimizer, shuffle_rng = training._start_run(cfg)
     bona_fide = train.labels == 0
     idx = next(idx for _ in range(cfg.epochs)
                for idx in training._batches(len(train.labels), cfg.batch_size, shuffle_rng)
                if np.unique(train.domain_ids[idx][bona_fide[idx]]).size >= 2)
-    labels, domains = train.labels[idx], train.domain_ids[idx]
 
     baseline = tracemalloc.get_traced_memory()[0]
     tracemalloc.reset_peak()
-    logits = model.forward(Tensor(train.images.data[idx]))
-    bce = binary_cross_entropy_with_logits(logits, labels)
-    loss = total_loss(bce, batch_tsr(model.style_map, labels, domains), cfg.tsr_lambda)
+    *_, loss = training._step_loss(model, train, idx, cfg.tsr_lambda)
     optimizer.zero_grad()
     loss.backward()
     optimizer.step()
