@@ -1,5 +1,6 @@
 """The procedural data: face-like blobs, moire/halftone attack artifacts,
-and per-domain imaging styles. Writes a browsable PPM dump.
+and per-domain imaging styles. Writes a browsable PPM dump of the split's
+training set.
 
 Run:  python demos/07_synthetic_domains.py [out_dir]
 """
@@ -9,7 +10,7 @@ import sys
 from histadapter.metrics import ScoreSet, auc, roc
 from histadapter.synth import (
     SynthProtocol, dump_dataset, generate, highpass_variance_scores,
-    merge_batches, split_protocol, style_bank,
+    split_protocol, style_bank,
 )
 
 styles = style_bank(4)
@@ -37,7 +38,5 @@ print("  id overlap          :",
       len(set(split.train.example_ids) & set(split.test.example_ids)))
 
 if len(sys.argv) > 1:
-    batch = merge_batches([generate(s, 4, 32, domain_id=i)
-                           for i, s in enumerate(styles)])
-    manifest = dump_dataset(batch, sys.argv[1])
+    manifest = dump_dataset(split.train, sys.argv[1])
     print("\nwrote", manifest)

@@ -370,7 +370,8 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     if x.ndim == 0 or x.shape[-1] != in_dim:
         raise ShapeError(f"linear layer expects width {in_dim}, got input shape {x.shape}")
     flat = x.data.reshape(-1, in_dim)
-    out = flat @ weight.data + bias.data
+    out = flat @ weight.data
+    out += bias.data
     rx, rw, rb, x_shape, rows = x._record, weight._record, bias._record, x.shape, flat.shape[0]
     # the input's gradient reads the weight, the weight's reads the input
     w = weight.data if _builds_graph(x) else None
@@ -474,7 +475,9 @@ def cdc_conv(x: Tensor, kernel: Tensor, bias: Tensor, theta: float) -> Tensor:
         mask = _valid_taps(h, w, kh, kw)[:, :, None]
         diffs = cols - x.data.transpose(0, 2, 3, 1)[..., None, None]
         diffs *= mask
-        out = out * (1.0 - theta) + contract(diffs) * theta
+        out *= 1.0 - theta
+        difference = contract(diffs)
+        out += np.multiply(difference, theta, out=difference)
     rx, rk, rb, k = x._record, kernel._record, bias._record, kernel.data
 
     def backward(g):
@@ -561,15 +564,24 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit, exact erf form."""
     x = _lift(x)
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
+    cdf = x.data * _INV_SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     record, slope = x._record, None
     if _builds_graph(x):  # the derivative, the one array the backward reads
-        slope = cdf + x.data * (np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI)
+        slope = x.data * -0.5
+        slope *= x.data
+        np.exp(slope, out=slope)
+        slope *= _INV_SQRT_2PI
+        slope *= x.data
+        slope += cdf
 
     def backward(g):
         accumulate_grad(record, g * slope)
 
-    return graph_op(x.data * cdf, (x,), backward)
+    cdf *= x.data
+    return graph_op(cdf, (x,), backward)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
@@ -632,10 +644,11 @@ def layernorm(x: Tensor, gain: Tensor, shift: Tensor) -> Tensor:
             f"layernorm gain/shift must have shape ({d},), got {gain.shape}/{shift.shape}"
         )
     # centered once; the variance is np.var's own sequence of operations
-    c = x.data - x.data.mean(axis=-1, keepdims=True)
-    var = (c * c).sum(axis=-1, keepdims=True) / d
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    out = xhat * xhat
+    var = out.sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
-    xhat = c * inv
+    xhat *= inv
     rx, rgain, rshift, gain_data = x._record, gain._record, shift._record, gain.data
 
     def backward(g):
@@ -651,7 +664,9 @@ def layernorm(x: Tensor, gain: Tensor, shift: Tensor) -> Tensor:
                        - xhat * (gh * xhat).mean(axis=-1, keepdims=True)),
             )
 
-    return graph_op(xhat * gain_data + shift.data, (x, gain, shift), backward)
+    np.multiply(xhat, gain_data, out=out)
+    out += shift.data
+    return graph_op(out, (x, gain, shift), backward)
 
 
 def sum_all(x: Tensor) -> Tensor:

@@ -20,7 +20,7 @@ from histadapter.config import RunConfig, load_config
 from histadapter.gradcheck import run_gradient_checks
 from histadapter.metrics import METRIC_CSV_HEADER
 from histadapter.overhead import account, format_report
-from histadapter.synth import dump_dataset, generate, merge_batches, style_bank
+from histadapter.synth import TRAIN_STREAM, _draw, dump_dataset, style_bank
 from histadapter.training import evaluate_run, train_run
 from histadapter.vit import PRESETS
 
@@ -155,9 +155,9 @@ def cmd_params(args) -> int:
 
 def cmd_synth_dump(args) -> int:
     styles = style_bank(args.domains, args.style_seed)
-    batches = [generate(style, args.per_class, args.side, domain_id=i)
-               for i, style in enumerate(styles)]
-    manifest = dump_dataset(merge_batches(batches), args.out)
+    batch = _draw([(style, args.per_class, i, TRAIN_STREAM) for i, style in enumerate(styles)],
+                  args.side)
+    manifest = dump_dataset(batch, args.out)
     print(f"wrote {manifest}")
     return 0
 

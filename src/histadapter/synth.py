@@ -30,7 +30,6 @@ __all__ = [
     "ProtocolSplit",
     "style_bank",
     "generate",
-    "merge_batches",
     "training_set",
     "held_out_set",
     "split_protocol",
@@ -140,28 +139,29 @@ def _uniform(r, lo: float, hi: float):
     return lo + (hi - lo) * r
 
 
-def _binomial_blur(img: np.ndarray) -> np.ndarray:
-    """One [1, 2, 1]/4 pass along each spatial axis with edge replication."""
+def _binomial_blur(img: np.ndarray, quarter: np.ndarray) -> None:
+    """One in-place [1, 2, 1]/4 pass per spatial axis, edges replicated; ``quarter`` is scratch."""
     for axis in (-2, -1):
-        quarter = np.moveaxis(0.25 * img, axis, 0)
-        img = 0.5 * img
-        rows = np.moveaxis(img, axis, 0)
-        rows[1:] += quarter[:-1]
-        rows[0] += quarter[0]
-        rows[:-1] += quarter[1:]
-        rows[-1] += quarter[-1]
-    return img
+        np.multiply(img, 0.25, out=quarter)
+        img *= 0.5
+        rows, quarters = np.moveaxis(img, axis, 0), np.moveaxis(quarter, axis, 0)
+        rows[1:] += quarters[:-1]
+        rows[0] += quarters[0]
+        rows[:-1] += quarters[1:]
+        rows[-1] += quarters[-1]
 
 
-def _chunk(rng: np.random.Generator, style: DomainStyle, out: np.ndarray, first_attack) -> None:
+def _chunk(rng: np.random.Generator, style: DomainStyle, out: np.ndarray, first_attack,
+           scratch) -> None:
     """Fills ``out`` (n, 3, S, S) with bona fide images, or with attacks from index
     ``first_attack`` on. All of the chunk's draws come first, one image after
-    another; the pixel math then runs on the whole chunk.
+    another; the pixel math then runs on the whole chunk, in ``out`` and in
+    ``scratch``'s noise, field and quarter buffers, (>= n, 3, S, S) each.
     """
     n, side = out.shape[0], out.shape[-1]
+    noise, field_, quarter = (buf[:n] for buf in scratch)
     u, coarse = np.empty((n, 19)), np.empty((n, 3, 4, 4))
     periods, art = np.empty((n, 2)), np.empty((n, 6))
-    noise = np.empty((n, 3, side, side)) if style.noise_sigma > 0 else None
     for k in range(n):
         u[k] = rng.random(19)
         coarse[k] = rng.normal(0.0, 0.08, (3, 4, 4))
@@ -169,7 +169,7 @@ def _chunk(rng: np.random.Generator, style: DomainStyle, out: np.ndarray, first_
             moire = (first_attack + k) % 2 == 0  # else halftone, with one period
             periods[k] = rng.integers(3, 5, size=2) if moire else int(rng.integers(3, 5))
             art[k] = rng.random(6)
-        if noise is not None:
+        if style.noise_sigma > 0:
             noise[k] = rng.normal(0.0, style.noise_sigma, (3, side, side))
 
     grid = np.arange(side) / side
@@ -180,7 +180,8 @@ def _chunk(rng: np.random.Generator, style: DomainStyle, out: np.ndarray, first_
     # each image term is a sum of an x term and a y term, computed once per row or column
     blob = np.exp(-((((grid - cx[:, None]) / ax) ** 2)[:, None, :]
                     + (((grid - cy[:, None]) / ay) ** 2)[:, :, None]))
-    img = base[:, :, None, None] * blob[:, None] + 0.12
+    np.multiply(base[:, :, None, None], blob[:, None], out=out)
+    out += 0.12
     for s in range(7, 19, 4):
         fx = cx + _uniform(u[:, s], -0.15, 0.15)
         fy = cy + _uniform(u[:, s + 1], -0.18, 0.18)
@@ -188,10 +189,13 @@ def _chunk(rng: np.random.Generator, style: DomainStyle, out: np.ndarray, first_
         fr2 = np.array([fr ** 2 for fr in _uniform(u[:, s + 2], 0.04, 0.09).tolist()])
         spot = np.exp(-((((grid - fx[:, None]) ** 2)[:, None, :]
                          + ((grid - fy[:, None]) ** 2)[:, :, None]) / fr2[:, None, None]))
-        img -= (_uniform(u[:, s + 3], 0.10, 0.25)[:, None, None] * spot)[:, None]
+        out -= (_uniform(u[:, s + 3], 0.10, 0.25)[:, None, None] * spot)[:, None]
+    # the coarse 4 x 4 field, each cell repeated over a (S/4, S/4) block
     rep = side // 4
-    field_ = np.repeat(np.repeat(coarse, rep, axis=2), rep, axis=3)
-    img += _binomial_blur(_binomial_blur(field_))
+    field_.reshape(n, 3, 4, rep, 4, rep)[...] = coarse[:, :, :, None, :, None]
+    _binomial_blur(field_, quarter)
+    _binomial_blur(field_, quarter)
+    out += field_
 
     if first_attack is not None:
         moire = (first_attack + np.arange(n)) % 2 == 0
@@ -204,14 +208,48 @@ def _chunk(rng: np.random.Generator, style: DomainStyle, out: np.ndarray, first_
         pattern = np.where(moire[:, None, None], pattern, dots)
         amp = np.where(moire, _uniform(art[:, 2], 0.18, 0.26), _uniform(art[:, 2], 0.20, 0.28))
         weights = 1.0 + _uniform(art[:, 3:6], -0.15, 0.15)
-        img += (amp[:, None] * weights)[:, :, None, None] * pattern[:, None]
+        out += np.multiply((amp[:, None] * weights)[:, :, None, None], pattern[:, None],
+                           out=field_)
 
-    img = img * np.asarray(style.color_gain)[:, None, None] + style.brightness_offset
-    if noise is not None:
-        img += noise
+    out *= np.asarray(style.color_gain)[:, None, None]
+    out += style.brightness_offset
+    if style.noise_sigma > 0:
+        out += noise
     for _ in range(style.blur_radius):
-        img = _binomial_blur(img)
-    np.clip(img, 0.0, 1.0, out=out)
+        _binomial_blur(out, quarter)
+    np.clip(out, 0.0, 1.0, out=out)
+
+
+def _draw(parts, side: int) -> DomainBatch:
+    """One set drawn in place: ``parts`` lists (style, n_per_class, domain_id,
+    stream), and each part's bona fide then attack examples fill its own rows
+    of one array allocated for the whole set. Every chunk of images reuses the
+    draw's three scratch buffers for its noise, coarse field and blur.
+    """
+    if side < 4 or side % 4:
+        raise ValueError(f"side must be a positive multiple of 4, got {side}")
+    counts = [n for _, n, _, _ in parts]
+    if min(counts) < 1:
+        raise ValueError(f"n_per_class must be >= 1, got {min(counts)}")
+    images = np.empty((2 * sum(counts), 3, side, side))
+    chunk = max(1, _CHUNK_PIXELS // side ** 2)
+    # not one block: a freed 3.6 MB block (224 px) lifts glibc's mmap threshold for good
+    scratch = [np.empty((chunk, 3, side, side)) for _ in range(3)]
+    ids, start = [], 0
+    for style, n, domain_id, stream in parts:
+        rng = np.random.default_rng(np.random.SeedSequence([style.seed, stream]))
+        bona_fide, attacks = images[start:start + n], images[start + n:start + 2 * n]
+        for first in range(0, n, chunk):
+            _chunk(rng, style, bona_fide[first:first + chunk], None, scratch)
+        for first in range(0, n, chunk):
+            _chunk(rng, style, attacks[first:first + chunk], first, scratch)
+        ids += [f"d{domain_id}-s{stream}-{kind}-{i}"
+                for kind in ("bona", "attack") for i in range(n)]
+        start += 2 * n
+    labels = np.repeat(np.tile(np.array([0, 1], dtype=np.intp), len(parts)), np.repeat(counts, 2))
+    domain_ids = np.repeat(np.array([d for _, _, d, _ in parts], dtype=np.intp),
+                           2 * np.array(counts))
+    return DomainBatch(Tensor(images), labels, domain_ids, ids)
 
 
 def generate(style: DomainStyle, n_per_class: int, side: int = 32,
@@ -225,32 +263,7 @@ def generate(style: DomainStyle, n_per_class: int, side: int = 32,
     artifact draws, then the style's noise. The pixel math runs batched over
     chunks of images, so an image does not depend on the chunking.
     """
-    if n_per_class < 1:
-        raise ValueError(f"n_per_class must be >= 1, got {n_per_class}")
-    if side < 4 or side % 4:
-        raise ValueError(f"side must be a positive multiple of 4, got {side}")
-    rng = np.random.default_rng(np.random.SeedSequence([style.seed, stream]))
-    images = np.empty((2 * n_per_class, 3, side, side))
-    chunk = max(1, _CHUNK_PIXELS // side ** 2)
-    bona_fide, attacks = images[:n_per_class], images[n_per_class:]
-    for start in range(0, n_per_class, chunk):
-        _chunk(rng, style, bona_fide[start:start + chunk], None)
-    for start in range(0, n_per_class, chunk):
-        _chunk(rng, style, attacks[start:start + chunk], start)
-    labels = np.repeat(np.array([0, 1], dtype=np.intp), n_per_class)
-    ids = [f"d{domain_id}-s{stream}-{kind}-{i}"
-           for kind in ("bona", "attack") for i in range(n_per_class)]
-    domain_ids = np.full(2 * n_per_class, domain_id, dtype=np.intp)
-    return DomainBatch(Tensor(images), labels, domain_ids, ids)
-
-
-def merge_batches(batches) -> DomainBatch:
-    return DomainBatch(
-        images=Tensor(np.concatenate([b.images.data for b in batches])),
-        labels=np.concatenate([b.labels for b in batches]),
-        domain_ids=np.concatenate([b.domain_ids for b in batches]),
-        example_ids=[i for b in batches for i in b.example_ids],
-    )
+    return _draw([(style, n_per_class, domain_id, stream)], side)
 
 
 def training_set(protocol: SynthProtocol, train_per_class: int, side: int = 32,
@@ -262,12 +275,11 @@ def training_set(protocol: SynthProtocol, train_per_class: int, side: int = 32,
         need = "style regularization needs two" if min_source_domains > 1 else "training needs one"
         raise ValueError(f"protocol has {len(sources)} source domains, need >= "
                          f"{min_source_domains} ({need})")
-    parts = [generate(protocol.domains[i], train_per_class, side, domain_id=i,
-                      stream=TRAIN_STREAM) for i in sources]
+    parts = [(protocol.domains[i], train_per_class, i, TRAIN_STREAM) for i in sources]
     if protocol.few_shot_k > 0:
-        parts.append(generate(protocol.domains[protocol.held_out], protocol.few_shot_k, side,
-                              domain_id=protocol.held_out, stream=FEWSHOT_STREAM))
-    return merge_batches(parts)
+        parts.append((protocol.domains[protocol.held_out], protocol.few_shot_k,
+                      protocol.held_out, FEWSHOT_STREAM))
+    return _draw(parts, side)
 
 
 def held_out_set(protocol: SynthProtocol, test_per_class: int, side: int = 32) -> DomainBatch:
@@ -285,11 +297,8 @@ def split_protocol(protocol: SynthProtocol, train_per_class: int, test_per_class
 
 def source_validation(protocol: SynthProtocol, n_per_class: int, side: int = 32) -> DomainBatch:
     """Fresh source-domain examples used only for threshold selection."""
-    parts = [
-        generate(protocol.domains[i], n_per_class, side, domain_id=i, stream=VAL_STREAM)
-        for i in protocol.source_indices
-    ]
-    return merge_batches(parts)
+    return _draw([(protocol.domains[i], n_per_class, i, VAL_STREAM)
+                  for i in protocol.source_indices], side)
 
 
 def dump_dataset(batch: DomainBatch, out_dir) -> Path:

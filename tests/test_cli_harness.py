@@ -144,13 +144,14 @@ class TestTrainEval:
     def test_runs_draw_only_the_streams_they_read(self, trained, tmp_path, monkeypatch):
         cfg, result = trained
         streams = []
-        real = synth.generate
+        real = synth._draw
 
-        def spy(style, n_per_class, side, domain_id, stream):
-            streams.append(stream)
-            return real(style, n_per_class, side, domain_id, stream)
+        # every set, one domain's or many, is drawn by this one function
+        def spy(parts, side):
+            streams.extend(stream for *_, stream in parts)
+            return real(parts, side)
 
-        monkeypatch.setattr(synth, "generate", spy)
+        monkeypatch.setattr(synth, "_draw", spy)
         train_run(load_config(None, {**SMALL, "epochs": "1", "few_shot_k": "2",
                                      "out": str(tmp_path)}))
         assert sorted(set(streams)) == [synth.TRAIN_STREAM, synth.FEWSHOT_STREAM]

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,10 +15,10 @@ from histadapter.synth import (
     dump_dataset,
     generate,
     highpass_variance_scores,
-    merge_batches,
     source_validation,
     split_protocol,
     style_bank,
+    training_set,
 )
 
 from oracles import synth_loops
@@ -128,6 +129,37 @@ class TestBatchedEqualsPerImageOracle:
                              [(self.STYLES[i], 4, 16, i, VAL_STREAM) for i in (0, 2, 3)])
 
 
+def traced_peak(build):
+    """``build()``'s result and the ``tracemalloc`` peak of the call, in bytes above
+    what was traced when it began."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = build()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestSetMemory:
+    """A multi-domain set is drawn into one array, and its chunks share the draw's
+    scratch: building it holds the set once, not once per domain and again merged."""
+
+    SLACK = 4 * 2 ** 20
+
+    @pytest.mark.parametrize("build", [
+        # the toy-eval validation set: 224 per class of 3 sources at 32 px, 31.5 MiB
+        lambda: source_validation(SynthProtocol(style_bank(4), held_out=3), 224, 32),
+        lambda: training_set(SynthProtocol(style_bank(4), held_out=3, few_shot_k=8), 64, 32),
+    ], ids=["source_validation", "few_shot_training_set"])
+    def test_peak_is_the_set_plus_4_mib(self, build):
+        batch, peak = traced_peak(build)
+        held = batch.images.data.nbytes
+        assert peak <= held + self.SLACK, \
+            f"peak {peak / 2 ** 20:.1f} MiB for a {held / 2 ** 20:.1f} MiB set"
+
+
 class TestLearnability:
     def test_highpass_baseline_auc_above_090_within_domain(self, styles):
         for domain, style in enumerate(styles):
@@ -176,9 +208,7 @@ class TestSplitProtocol:
 
 class TestDump:
     def test_ppm_and_manifest(self, tmp_path, styles):
-        batch = merge_batches([
-            generate(styles[i], 2, 16, domain_id=i) for i in range(2)
-        ])
+        batch = training_set(SynthProtocol(styles[:2], held_out=1, few_shot_k=2), 2, 16)
         manifest = dump_dataset(batch, tmp_path / "data")
         rows = list(csv.DictReader(manifest.open()))
         assert len(rows) == len(batch)

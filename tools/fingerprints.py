@@ -14,12 +14,13 @@ comes the sha256 of the CSV that ``histadapter gradcheck --out`` writes, then
 held-out test and source-validation images, in that order. A change that
 alters no float operation prints the same rows as its parent.
 
-The last three rows are counters, not identity rows: a refactor may move
+The last four rows are counters, not identity rows: a refactor may move
 them. ``step peak toy <MiB>`` and ``step peak tiny <MiB>`` are the
 ``tracemalloc`` peaks of one TSR-on training step of each recipe, from
-``tools/step_peak.py``; ``src lines <N>`` is the line count over
-``src/histadapter/*.py``. Run from the repository root (about 45 s on one
-core):
+``tools/step_peak.py``; ``synth peak val MiB <MiB>`` is the ``tracemalloc``
+peak of drawing the ``toy-eval`` workload's source-validation set (seed 0);
+``src lines <N>`` is the line count over ``src/histadapter/*.py``. Run
+from the repository root (about 45 s on one core):
 
     PYTHONPATH=src python3 tools/fingerprints.py
 """
@@ -29,7 +30,9 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 from histadapter.adapter import FUSIONS, VARIANTS
@@ -61,6 +64,19 @@ def synth_sha256(cfg) -> str:
     return digest.hexdigest()
 
 
+def synth_val_peak_mib() -> float:
+    """``tracemalloc`` peak, in MiB, of drawing the ``toy-eval`` source-validation set."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from worker import workload_config
+    cfg = workload_config("toy-eval", 0)
+    protocol = build_protocol(cfg)
+    tracemalloc.start()
+    source_validation(protocol, cfg.val_per_class, PRESETS[cfg.preset].image)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return peak / 2**20
+
+
 def main() -> None:
     runs = [(f"{v}/{f}/domain", {"variant": v, "fusion": f})
             for v in VARIANTS for f in FUSIONS]
@@ -83,6 +99,7 @@ def main() -> None:
     print(f"synth {CONFIG.name} {synth_sha256(load_config(CONFIG, {}))}")
     for recipe, mib in step_peaks().items():
         print(f"step peak {recipe} {mib:.1f}")
+    print(f"synth peak val MiB {synth_val_peak_mib():.1f}")
     lines = sum(p.read_bytes().count(b"\n") for p in (ROOT / "src" / "histadapter").glob("*.py"))
     print(f"src lines {lines}")
 
