@@ -23,10 +23,10 @@ curve = roc(s)
 print("ROC points           :", len(curve.thresholds))
 print("AUC                  :", auc(curve))
 
-value, threshold = eer(s)
+value, threshold = eer(curve)
 print("EER                  :", round(value, 4), "at threshold", round(threshold, 4))
 print("HTER @ EER threshold :", round(hter(s, threshold), 4))
-print("TPR @ FPR=1%         :", round(tpr_at_fpr(s, 0.01), 4))
+print("TPR @ FPR=1%         :", round(tpr_at_fpr(curve, 0.01), 4))
 apcer, bpcer, acer = acer_suite(s)
 print("APCER/BPCER/ACER @0.5:", round(apcer, 4), round(bpcer, 4), round(acer, 4))
 
@@ -34,7 +34,7 @@ print("APCER/BPCER/ACER @0.5:", round(apcer, 4), round(bpcer, 4), round(acer, 4)
 # and applies it to the target; a shifted target makes HTER exceed EER
 shifted = ScoreSet(np.clip(scores + 0.18, 0, 1), labels)
 print("\nafter a +0.18 score shift (domain change):")
-print("EER (threshold-free) :", round(eer(shifted)[0], 4))
+print("EER (threshold-free) :", round(eer(roc(shifted))[0], 4))
 print("HTER @ old threshold :", round(hter(shifted, threshold), 4))
 
 report = evaluate_scores(shifted, threshold)

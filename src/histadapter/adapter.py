@@ -35,9 +35,8 @@ from histadapter.autodiff import ShapeError, Tensor
 from histadapter.cdc import CdcConv
 from histadapter.histogram import SoftHistogram
 from histadapter.nn import Linear, prefixed
-from histadapter.tokens import grid_to_seq, seq_to_grid
 
-__all__ = ["HistAdapter", "VARIANTS", "FUSIONS"]
+__all__ = ["HistAdapter", "VARIANTS", "FUSIONS", "seq_to_grid", "grid_to_seq"]
 
 VARIANTS = (
     "full",
@@ -52,6 +51,26 @@ FUSIONS = ("sum", "concat")
 _USES_CDC = {"full", "no_hist", "no_hist_no_cdc", "linear_plus_cdc", "linear_plus_cdc_hist"}
 _USES_HIST = {"full", "linear_plus_cdc_hist"}
 _USES_GELU = {"vanilla_linear", "linear_plus_cdc", "linear_plus_cdc_hist"}
+
+
+def seq_to_grid(rows: Tensor) -> Tensor:
+    """(B, N, C) patch rows, N square, to a (B, C, side, side) grid: row i*side + j -> (i, j)."""
+    if rows.ndim != 3:
+        raise ShapeError(f"tokens must be (B, N, C), got shape {rows.shape}")
+    b, n_tokens, c = rows.shape
+    side = math.isqrt(n_tokens)
+    if side * side != n_tokens:
+        raise ShapeError(f"sequence holds {n_tokens} patch tokens, not a square grid")
+    return ad.transpose(ad.reshape(rows, (b, side, side, c)), (0, 3, 1, 2))
+
+
+def grid_to_seq(grid: Tensor) -> Tensor:
+    """Inverse of :func:`seq_to_grid`; both are pure reindexings, so round trips and
+    gradients are exact."""
+    if grid.ndim != 4:
+        raise ShapeError(f"grid must be (B, C, H, W), got shape {grid.shape}")
+    b, c, h, w = grid.shape
+    return ad.reshape(ad.transpose(grid, (0, 2, 3, 1)), (b, h * w, c))
 
 
 class HistAdapter:
@@ -83,8 +102,7 @@ class HistAdapter:
     def token_map(self, patches: Tensor) -> Tensor:
         """(B, N, model_dim) patch rows, N square, to the (B, adapter_dim, side, side)
         token map after the conv stage, the input of the histogram."""
-        side = math.isqrt(patches.shape[1])
-        grid = seq_to_grid(self._bottleneck(patches), side, side)
+        grid = seq_to_grid(self._bottleneck(patches))
         return grid if self.cdc is None else self.cdc.forward_tensor(grid)
 
     def apply(self, tokens: Tensor) -> Tensor:

@@ -123,17 +123,15 @@ def auc(curve: RocCurve) -> float:
     return twice_area / (2 * curve.n_attack * curve.n_bona)
 
 
-def eer(s: ScoreSet) -> tuple:
+def eer(curve: RocCurve) -> tuple:
     """Equal error rate and its threshold.
 
     FAR falls and FRR rises as the threshold sweeps downward; the crossing
     is located between the bracketing candidate thresholds by linear
     interpolation (an exact hit at a candidate is returned as is).
     """
-    return _curve_eer(roc(s))
-
-
-def _curve_eer(curve: RocCurve) -> tuple:
+    if isinstance(curve, ScoreSet):  # as perfbench/test_checks.py passes (ROADMAP item 1)
+        curve = roc(curve)
     # FAR / FRR at every candidate threshold, descending: a virtual point above
     # every score, then the distinct scores, the breakpoints of both step functions
     far = np.concatenate(([1.0], (curve.n_attack - curve.tp) / curve.n_attack))
@@ -166,12 +164,8 @@ def hter(s: ScoreSet, threshold: float) -> float:
     return (far + frr) / 2.0
 
 
-def tpr_at_fpr(s: ScoreSet, target_fpr: float = 0.01) -> float:
+def tpr_at_fpr(curve: RocCurve, target_fpr: float) -> float:
     """Interpolated TPR where the ROC reaches the target FPR."""
-    return _curve_tpr_at_fpr(roc(s), target_fpr)
-
-
-def _curve_tpr_at_fpr(curve: RocCurve, target_fpr: float) -> float:
     fpr, tpr = curve.fpr, curve.tpr
     # collapse vertical segments: the sweep is monotone, so the last point of
     # each run of equal fpr holds the best tpr attainable at that fpr
@@ -227,13 +221,13 @@ def evaluate_scores(target: ScoreSet, threshold: float) -> MetricReport:
     (fixed on source-domain validation in cross-domain runs), ACER the
     conventional 0.5 on probabilities. The scores are sorted once, into one ROC."""
     curve = roc(target)
-    eer_value, _ = _curve_eer(curve)
+    eer_value, _ = eer(curve)
     apcer, bpcer, acer = acer_suite(target)
     return MetricReport(
         auc=auc(curve),
         eer=eer_value,
         hter=hter(target, threshold),
-        tpr_at_fpr1=_curve_tpr_at_fpr(curve, 0.01),
+        tpr_at_fpr1=tpr_at_fpr(curve, 0.01),
         apcer=apcer,
         bpcer=bpcer,
         acer=acer,

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from histadapter.adapter import _USES_CDC, _USES_HIST
-from histadapter.vit import PRESETS, ViTConfig
+from histadapter.vit import MLP_RATIO, PRESETS, ViTConfig
 
 __all__ = ["OverheadReport", "account", "format_report"]
 
@@ -27,7 +26,7 @@ def _linear_params(in_dim: int, out_dim: int) -> int:
 def backbone_params(cfg: ViTConfig) -> int:
     d = cfg.width
     block = (2 * d) * 2 + 4 * _linear_params(d, d) \
-        + _linear_params(d, cfg.mlp_ratio * d) + _linear_params(cfg.mlp_ratio * d, d)
+        + _linear_params(d, MLP_RATIO * d) + _linear_params(MLP_RATIO * d, d)
     return (_linear_params(cfg.patch_dim, d)
             + d                      # class token
             + cfg.token_count * d    # positions
@@ -39,40 +38,30 @@ def head_params(cfg: ViTConfig) -> int:
     return _linear_params(cfg.width, 2)
 
 
-def adapter_params(cfg: ViTConfig, adapter_dim: int, variant: str = "full",
-                   fusion: str = "sum") -> int:
+def adapter_params(cfg: ViTConfig, adapter_dim: int) -> int:
+    """One of the paper's adapters: ``full`` variant, sum fusion."""
     d, a = cfg.width, adapter_dim
-    total = _linear_params(d, a) + _linear_params(a, d)
-    if variant in _USES_CDC:
-        total += a * a * 9 + a                       # conv kernel + bias
-    if variant in _USES_HIST:
-        total += 2 * a                               # bin centers + widths
-    if fusion == "concat":
-        total += _linear_params(2 * d, d)
-    return total
+    return (_linear_params(d, a) + _linear_params(a, d)
+            + a * a * 9 + a                          # conv kernel + bias
+            + 2 * a)                                 # bin centers + widths
 
 
 def backbone_macs(cfg: ViTConfig) -> int:
     d, n = cfg.width, cfg.token_count
     attn = 3 * n * d * d + 2 * n * n * d + n * d * d
-    mlp = 2 * n * d * (cfg.mlp_ratio * d)
+    mlp = 2 * n * d * (MLP_RATIO * d)
     return (cfg.patch_tokens * cfg.patch_dim * d
             + cfg.depth * (attn + mlp)
             + d * 2)                 # head read-out
 
 
-def adapter_macs(cfg: ViTConfig, adapter_dim: int, variant: str = "full",
-                 fusion: str = "sum") -> int:
+def adapter_macs(cfg: ViTConfig, adapter_dim: int) -> int:
+    """One of the paper's adapters: ``full`` variant, sum fusion."""
     d, a = cfg.width, adapter_dim
-    np_, hw = cfg.patch_tokens, cfg.patch_tokens
-    total = np_ * d * a + np_ * a * d
-    if variant in _USES_CDC:
-        total += 2 * hw * a * a * 9                  # vanilla + difference convs
-    if variant in _USES_HIST:
-        total += 2 * hw * a + 9 * hw * a             # pixel-wise stages + window
-    if fusion == "concat":
-        total += np_ * 2 * d * d
-    return total
+    n = cfg.patch_tokens
+    return (n * d * a + n * a * d
+            + 2 * n * a * a * 9                      # vanilla + difference convs
+            + 2 * n * a + 9 * n * a)                 # pixel-wise stages + window
 
 
 @dataclass

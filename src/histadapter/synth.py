@@ -289,14 +289,16 @@ def held_out_set(protocol: SynthProtocol, test_per_class: int, side: int = 32) -
 
 
 def split_protocol(protocol: SynthProtocol, train_per_class: int, test_per_class: int,
-                   side: int = 32, min_source_domains: int = 1) -> ProtocolSplit:
+                   side: int = 32) -> ProtocolSplit:
     """:func:`training_set` and :func:`held_out_set` together."""
-    return ProtocolSplit(train=training_set(protocol, train_per_class, side, min_source_domains),
+    return ProtocolSplit(train=training_set(protocol, train_per_class, side),
                          test=held_out_set(protocol, test_per_class, side))
 
 
 def source_validation(protocol: SynthProtocol, n_per_class: int, side: int = 32) -> DomainBatch:
     """Fresh source-domain examples used only for threshold selection."""
+    if not protocol.source_indices:
+        raise ValueError("protocol has 0 source domains, need >= 1 (validation needs one)")
     return _draw([(protocol.domains[i], n_per_class, i, VAL_STREAM)
                   for i in protocol.source_indices], side)
 

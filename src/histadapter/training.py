@@ -23,7 +23,7 @@ from histadapter.losses import (
     binary_cross_entropy_with_logits,
     total_loss,
 )
-from histadapter.metrics import MetricReport, ScoreSet, eer, evaluate_scores
+from histadapter.metrics import MetricReport, ScoreSet, eer, evaluate_scores, roc
 from histadapter.optim import Adam
 from histadapter.synth import (
     SynthProtocol,
@@ -147,7 +147,7 @@ def evaluate_run(cfg: RunConfig, checkpoint_path) -> MetricReport:
 
     val = source_validation(protocol, cfg.val_per_class, side)
     val_scores = score_batch(model, val.images.data)
-    _, threshold = eer(ScoreSet(val_scores, val.labels))
+    _, threshold = eer(roc(ScoreSet(val_scores, val.labels)))
 
     test_scores = score_batch(model, test.images.data)
     return evaluate_scores(ScoreSet(test_scores, test.labels), threshold)

@@ -17,7 +17,9 @@ from histadapter.adapter import HistAdapter
 from histadapter.autodiff import ShapeError, Tensor
 from histadapter.nn import Linear, prefixed, set_trainable
 
-__all__ = ["ViTConfig", "ViTBlock", "VisionTransformer", "PRESETS", "build_model"]
+__all__ = ["ViTConfig", "ViTBlock", "VisionTransformer", "PRESETS", "MLP_RATIO", "build_model"]
+
+MLP_RATIO = 4  # each block's MLP is MLP_RATIO times as wide as its tokens
 
 
 @dataclass(frozen=True)
@@ -27,7 +29,6 @@ class ViTConfig:
     heads: int
     patch: int
     image: int
-    mlp_ratio: int = 4
 
     def __post_init__(self):
         if self.width % self.heads:
@@ -75,8 +76,8 @@ class ViTBlock:
         self.proj = Linear(d, d, rng)
         self.ln2_gain = Tensor(np.ones(d), requires_grad=True)
         self.ln2_shift = Tensor(np.zeros(d), requires_grad=True)
-        self.fc1 = Linear(d, cfg.mlp_ratio * d, rng)
-        self.fc2 = Linear(cfg.mlp_ratio * d, d, rng)
+        self.fc1 = Linear(d, MLP_RATIO * d, rng)
+        self.fc2 = Linear(MLP_RATIO * d, d, rng)
         self.msa_adapter: HistAdapter | None = None
         self.mlp_adapter: HistAdapter | None = None
 

@@ -169,7 +169,7 @@ def test_criterion_6_metric_oracle_equivalence():
         s = ScoreSet(scores, labels)
         slist, llist = s.scores.tolist(), s.labels.tolist()
         assert auc(roc(s)) == auc_pairwise(slist, llist), f"auc trial {trial}"
-        assert eer(s) == eer_sweep(slist, llist), f"eer trial {trial}"
+        assert eer(roc(s)) == eer_sweep(slist, llist), f"eer trial {trial}"
         assert acer_suite(s) == acer_counting(slist, llist), f"acer trial {trial}"
     report(6, True, "AUC/EER/ACER equal brute-force pairwise and threshold-sweep "
                     "oracles exactly on 100 random score sets (n <= 200)")

@@ -159,6 +159,14 @@ class TestTrainEval:
         evaluate_run(cfg, result.checkpoint_path)
         assert sorted(set(streams)) == [synth.TEST_STREAM, synth.VAL_STREAM]
 
+    def test_eval_names_the_source_domains_validation_needs(self, trained, tmp_path):
+        _, result = trained
+        cfg = load_config(None, {**SMALL, "num_domains": "1", "held_out": "0",
+                                 "out": str(tmp_path)})
+        with pytest.raises(ValueError, match=r"^protocol has 0 source domains, need >= 1 "
+                                             r"\(validation needs one\)$"):
+            evaluate_run(cfg, result.checkpoint_path)
+
     def test_total_is_bce_plus_lambda_tsr(self, trained):
         cfg, result = trained
         rows = list(csv.DictReader(result.log_path.open()))

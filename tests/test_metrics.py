@@ -82,20 +82,20 @@ class TestAuc:
 class TestEer:
     def test_perfect_separation_zero(self):
         s = ScoreSet([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0])
-        value, threshold = eer(s)
+        value, threshold = eer(roc(s))
         assert value == 0.0
         assert hter(s, threshold) == 0.0
 
     def test_identical_scores_chance_level(self):
         s = ScoreSet([0.5] * 8, [1, 0, 1, 0, 1, 0, 1, 0])
-        value, _ = eer(s)
+        value, _ = eer(roc(s))
         assert value == 0.5
 
     def test_eight_point_hand_case_matches_sweep(self):
         scores = [0.95, 0.8, 0.7, 0.6, 0.45, 0.4, 0.2, 0.1]
         labels = [1, 1, 0, 1, 0, 1, 0, 0]
         s = ScoreSet(scores, labels)
-        got_value, got_thr = eer(s)
+        got_value, got_thr = eer(roc(s))
         want_value, want_thr = eer_sweep(scores, labels)
         assert got_value == want_value
         assert got_thr == want_thr
@@ -104,7 +104,7 @@ class TestEer:
         rng = np.random.default_rng(2)
         for trial in range(100):
             s = random_scoreset(rng, tie_prob=0.3 if trial % 2 else 0.0)
-            got = eer(s)
+            got = eer(roc(s))
             want = eer_sweep(s.scores.tolist(), s.labels.tolist())
             assert got == want, f"trial {trial}"
 
@@ -114,7 +114,7 @@ class TestEer:
         rng = np.random.default_rng(3)
         for _ in range(50):
             s = random_scoreset(rng)
-            value, threshold = eer(s)
+            value, threshold = eer(roc(s))
             step = 0.5 * (1.0 / s.n_attack + 1.0 / s.n_bona)
             assert abs(hter(s, threshold) - value) <= step + 1e-12
 
@@ -124,7 +124,7 @@ class TestEer:
             s = random_scoreset(rng, n=60)
             transformed = ScoreSet(np.exp(3.0 * s.scores) + 1.0, s.labels)
             assert auc(roc(s)) == auc(roc(transformed))
-            assert eer(s)[0] == eer(transformed)[0]
+            assert eer(roc(s))[0] == eer(roc(transformed))[0]
 
 
 class TestHter:
@@ -175,15 +175,15 @@ class TestAcer:
 class TestTprAtFpr:
     def test_perfect_curve(self):
         s = ScoreSet([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0])
-        assert tpr_at_fpr(s, 0.01) == 1.0
+        assert tpr_at_fpr(roc(s), 0.01) == 1.0
 
     def test_hand_interpolation(self):
         # one bona fide crossing makes fpr jump 0 -> 0.5 while tpr = 0.5
         s = ScoreSet([0.9, 0.8, 0.7, 0.1], [1, 0, 1, 0])
         # roc points: (0,0) (0,.5) (.5,.5) (.5,1) (1,1); at fpr=.25 -> tpr .5...
         # vertical collapse keeps best tpr per fpr: (0,.5) (.5,1) (1,1)
-        assert tpr_at_fpr(s, 0.25) == 0.75
-        assert tpr_at_fpr(s, 0.0) == 0.5
+        assert tpr_at_fpr(roc(s), 0.25) == 0.75
+        assert tpr_at_fpr(roc(s), 0.0) == 0.5
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(score_lists(), score_lists(st.floats(0.0, 1.0), unique=True)), st.data())
@@ -193,7 +193,7 @@ class TestTprAtFpr:
         n_bona = labels.count(0)
         target = data.draw(st.one_of(st.integers(0, n_bona).map(lambda k: k / n_bona),
                                      st.floats(0.0, 1.0)))
-        assert tpr_at_fpr(ScoreSet(scores, labels), target) == \
+        assert tpr_at_fpr(roc(ScoreSet(scores, labels)), target) == \
             tpr_at_fpr_sweep(scores, labels, target)
 
 
@@ -202,7 +202,7 @@ class TestValidationAndReport:
         with pytest.raises(ValueError, match="both classes"):
             roc(ScoreSet([0.5, 0.7], [1, 1]))
         with pytest.raises(ValueError, match="both classes"):
-            eer(ScoreSet([0.5, 0.7], [0, 0]))
+            eer(roc(ScoreSet([0.5, 0.7], [0, 0])))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -242,7 +242,7 @@ class TestValidationAndReport:
         assert len(calls) == 1
         monkeypatch.undo()
         assert (report.auc, report.eer, report.tpr_at_fpr1) == \
-            (auc(roc(s)), eer(s)[0], tpr_at_fpr(s, 0.01))
+            (auc(roc(s)), eer(roc(s))[0], tpr_at_fpr(roc(s), 0.01))
 
 
 class TestOraclesOnTiedGrids:
@@ -252,7 +252,7 @@ class TestOraclesOnTiedGrids:
         scores, labels = case
         s = ScoreSet(scores, labels)
         assert auc(roc(s)) == auc_pairwise(scores, labels)
-        assert eer(s) == eer_sweep(scores, labels)
+        assert eer(roc(s)) == eer_sweep(scores, labels)
 
     @settings(max_examples=300, deadline=None)
     @given(score_lists(), GRID)

@@ -197,7 +197,13 @@ class TestSplitProtocol:
     def test_min_source_domains_enforced(self):
         protocol = SynthProtocol(style_bank(2), held_out=0)
         with pytest.raises(ValueError, match="source domains"):
-            split_protocol(protocol, 4, 4, min_source_domains=2)
+            training_set(protocol, 4, min_source_domains=2)
+
+    def test_validation_names_its_missing_source_domains(self):
+        protocol = SynthProtocol(style_bank(1), held_out=0)
+        with pytest.raises(ValueError, match=r"^protocol has 0 source domains, need >= 1 "
+                                             r"\(validation needs one\)$"):
+            source_validation(protocol, 4)
 
     def test_protocol_validation(self, styles):
         with pytest.raises(ValueError, match="held_out"):
